@@ -67,12 +67,14 @@ test-dist:
 	$(GO) test -race -short -run 'Dist|Partition|Worker|Replicate' ./internal/distsweep/ ./internal/sweep/ ./cmd/sweep/ .
 
 ## test-skip: seconds-long short-mode race pass over the event-driven
-## round-skipping path — the Geometric sampler's draw-for-draw contract,
-## the network's uniform broadcast slots, and the step-vs-fast-forward
+## round-skipping path and view-class delivery — the Geometric sampler's
+## draw-for-draw contract, the network's uniform broadcast slots (incl.
+## the lazily allocated drained stamps), the step-vs-fast-forward
 ## equivalence tests (golden traces, artifact byte-identity, sparse
-## regimes, adversary state replay).
+## regimes, adversary state replay), the view-class pins of seeded
+## random configs, and the fold/walk delivery-path counts.
 test-skip:
-	$(GO) test -race -short -run 'Geometric|Uniform|SendAll|FastForward' ./internal/dist/ ./internal/network/ ./internal/engine/ .
+	$(GO) test -race -short -run 'Geometric|Uniform|SendAll|FastForward|ViewClass|DeliveryPath' ./internal/dist/ ./internal/network/ ./internal/engine/ .
 
 ## test-mem: ~20 s short-mode race pass over the memory path — the SoA
 ## arena's compaction query-parity, sparse-ID, and payload-side-table

@@ -1,9 +1,10 @@
 // Benchmarks regenerating every evaluation artifact of the paper plus the
-// extension experiments S1–S6 of DESIGN.md (S7 and the Inequality-47
-// validation run via cmd/report). Each benchmark both times the
-// regeneration and asserts the qualitative result (who wins, which side of
-// the bound), so `go test -bench=. -benchmem` doubles as an experiment
-// runner. EXPERIMENTS.md records the measured numbers.
+// simulation-validation experiments S1–S6 (the sections of the report
+// internal/report renders; S7 and the Inequality-47 validation run via
+// cmd/report). Each benchmark both times the regeneration and asserts the
+// qualitative result (who wins, which side of the bound), so `go test
+// -bench=. -benchmem` doubles as an experiment runner. `go run
+// ./cmd/report` prints the measured numbers as a markdown report.
 package neatbound
 
 import (
@@ -225,8 +226,9 @@ func BenchmarkLemmaChain(b *testing.B) {
 	}
 }
 
-// BenchmarkStationaryMethods is the DESIGN.md ablation: analytic closed
-// form vs power iteration vs direct linear solve on C_F.
+// BenchmarkStationaryMethods is an ablation of the stationary-distribution
+// solvers: analytic closed form vs power iteration vs direct linear solve
+// on C_F.
 func BenchmarkStationaryMethods(b *testing.B) {
 	s, err := markov.NewSuffixChain(0.15, 24)
 	if err != nil {

@@ -3,12 +3,14 @@
 // result in BENCH_engine.json, so the simulation throughput trajectory
 // (rounds/s, ns/round, allocs/round) is tracked across PRs.
 //
-// Each run appends or replaces one labeled entry:
+// Each run appends one labeled entry:
 //
 //	go run ./cmd/benchjson -label flat-arena -out BENCH_engine.json
 //
-// Entries with the same label are replaced in place, so re-running a
-// measurement updates it instead of duplicating it.
+// Labels are append-only, as under `make bench`: a label already in the
+// file is refused before anything is measured, so the measured
+// trajectory is never rewritten. Pick a fresh label for a new
+// measurement.
 package main
 
 import (
@@ -86,7 +88,7 @@ type file struct {
 
 func main() {
 	var (
-		label   = flag.String("label", "current", "entry label (same label replaces)")
+		label   = flag.String("label", "current", "entry label (must not exist in -out yet)")
 		out     = flag.String("out", "BENCH_engine.json", "output JSON path")
 		n       = flag.Int("n", 1000, "players")
 		p       = flag.Float64("p", 1e-4, "per-query success probability")
@@ -101,6 +103,18 @@ func main() {
 		scn     = flag.String("scenario", "", "scenario preset name or inline JSON spec (docs/scenarios.md; empty = default model)")
 	)
 	flag.Parse()
+
+	f := file{Benchmark: "BenchmarkSimulationRound"}
+	if data, err := os.ReadFile(*out); err == nil {
+		if err := json.Unmarshal(data, &f); err != nil {
+			fatal(fmt.Errorf("benchjson: existing %s is not valid: %w", *out, err))
+		}
+	}
+	for _, old := range f.Entries {
+		if old.Label == *label {
+			fatal(fmt.Errorf("benchjson: label %q already exists in %s — labels are append-only, pick a fresh one", *label, *out))
+		}
+	}
 
 	pr, err := neatbound.NewParams(*n, *p, *delta, *nu)
 	if err != nil {
@@ -117,24 +131,7 @@ func main() {
 	e.Scenario = *scn
 	e.Label = *label
 	e.Date = time.Now().UTC().Format("2006-01-02")
-
-	f := file{Benchmark: "BenchmarkSimulationRound"}
-	if data, err := os.ReadFile(*out); err == nil {
-		if err := json.Unmarshal(data, &f); err != nil {
-			fatal(fmt.Errorf("benchjson: existing %s is not valid: %w", *out, err))
-		}
-	}
-	replaced := false
-	for i := range f.Entries {
-		if f.Entries[i].Label == e.Label {
-			f.Entries[i] = e
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		f.Entries = append(f.Entries, e)
-	}
+	f.Entries = append(f.Entries, e)
 	data, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {
 		fatal(err)

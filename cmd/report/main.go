@@ -1,11 +1,11 @@
 // Command report runs the full experiment suite — the paper artifacts
 // (Figure 1, Table I, Figure 2, Remark 1) and the simulation validations
-// S1–S6 — and emits a markdown report with measured-vs-predicted numbers.
-// EXPERIMENTS.md is generated with this tool.
+// S1–S7 — and emits a markdown report with measured-vs-predicted numbers
+// (the sections internal/report renders).
 //
 // Usage:
 //
-//	report [-quick] [-o EXPERIMENTS.md] [-rounds N] [-replicates K]
+//	report [-quick] [-o report.md] [-rounds N] [-replicates K]
 package main
 
 import (

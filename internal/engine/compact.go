@@ -109,8 +109,8 @@ func (e *Engine) compactionWatermark() (blockchain.BlockID, bool) {
 	for _, id := range e.retainBuf {
 		fold(id)
 	}
-	for _, id := range e.tips[e.honest:] {
-		fold(id)
+	for i := e.honest; i < e.players; i++ {
+		fold(e.tips[i])
 	}
 	// Adversary-retained blocks (withheld chains).
 	e.retainBuf = e.retainBuf[:0]

@@ -135,7 +135,10 @@ type Config struct {
 	// stepping whenever a precondition fails — NuSchedule set, oracle
 	// mining, an adversary without SkipSafe, or a parameterization
 	// outside the binomial inversion regime. TestGoldenTracesFastForward
-	// pins the equivalence on all golden configs.
+	// pins the equivalence on all golden configs. View-class delivery
+	// (one longest-chain fold per view class on rounds whose due
+	// messages are all uniform broadcasts) is not part of the fast path:
+	// it runs with the flag on or off (see viewclass.go).
 	FastForward bool
 	// CompactEvery, when > 0, enables epoch-based arena compaction: every
 	// CompactEvery rounds the engine computes the watermark — the common
@@ -245,6 +248,12 @@ type Result struct {
 	// Partial is set when the run was cut short by context cancellation;
 	// Records then holds only the rounds executed before the cut.
 	Partial bool
+	// FoldRounds and WalkRounds count the rounds with deliveries due,
+	// split by how they were delivered: by the view-class fold (one
+	// longest-chain fold per view class; see viewclass.go) or by the
+	// per-recipient walk. They report which path ran and never affect
+	// the execution.
+	FoldRounds, WalkRounds int
 }
 
 // Engine drives one protocol execution. Create with New, then Run.
@@ -266,7 +275,11 @@ type Engine struct {
 	obs    Observer
 	advRng *rng.Stream
 	mineRg *rng.Stream
-	tips   []blockchain.BlockID // one view per player; [0, honest) are honest
+	// tips holds one view slot per player; [0, honest) are honest. While
+	// view-class delivery holds the views (vc.stale), the slots are out of
+	// date or not yet allocated: read a view through e.view, or call
+	// materializeViews before reading the slots.
+	tips []blockchain.BlockID
 	// tipHeights mirrors tips with each view's chain height, so the hot
 	// path never needs a tree lookup to compare chains.
 	tipHeights []int
@@ -312,6 +325,8 @@ type Engine struct {
 	// ff is the event-driven fast-forward state (Config.FastForward;
 	// see fastforward.go).
 	ff ffState
+	// vc is the view-class delivery state (see viewclass.go).
+	vc viewClasses
 	// nextCompact is the next round at or after which the compaction
 	// epoch fires (Config.CompactEvery); retainBuf is its reusable ID
 	// scratch (see compact.go).
@@ -362,27 +377,36 @@ func New(cfg Config) (*Engine, error) {
 	}
 	root := rng.New(cfg.Seed)
 	e := &Engine{
-		cfg:        cfg,
-		pr:         cfg.Params,
-		tree:       blockchain.NewTree(),
-		net:        net,
-		alloc:      mining.NewIDAllocator(),
-		players:    players,
-		honest:     honest,
-		halfLo:     honest / 2,
-		adv:        adv,
-		obs:        obs,
-		advRng:     root.Split(1),
-		mineRg:     root.Split(2),
-		tips:       make([]blockchain.BlockID, players),
-		tipHeights: make([]int, players),
+		cfg:     cfg,
+		pr:      cfg.Params,
+		tree:    blockchain.NewTree(),
+		net:     net,
+		alloc:   mining.NewIDAllocator(),
+		players: players,
+		honest:  honest,
+		halfLo:  honest / 2,
+		adv:     adv,
+		obs:     obs,
+		advRng:  root.Split(1),
+		mineRg:  root.Split(2),
 	}
-	for i := range e.tips {
-		e.tips[i] = blockchain.GenesisID
+	// View-class delivery needs players == honest for the whole run. All
+	// views start at genesis: the class state holds them, and the slot
+	// arrays wait for their first reader (see viewclass.go).
+	e.vc.enabled = cfg.NuSchedule == nil
+	e.vc.valid, e.vc.stale = e.vc.enabled, e.vc.enabled
+	e.vc.majTip = blockchain.GenesisID
+	if !e.vc.enabled {
+		e.tips = make([]blockchain.BlockID, players)
+		e.tipHeights = make([]int, players)
+		for i := range e.tips {
+			e.tips[i] = blockchain.GenesisID
+		}
 	}
 	// Partition the player range into contiguous shards (sizes differing
 	// by at most one) and count every honest view — all at genesis,
-	// height 0 — into its shard's accumulator.
+	// height 0 — into its shard's accumulator, in bulk: one height, one
+	// tip, and no per-half argmax entry (heights of 0 never register).
 	nshards := cfg.Shards
 	if nshards < 0 {
 		nshards = autoShards(players)
@@ -401,14 +425,17 @@ func New(cfg Config) (*Engine, error) {
 		if k < r {
 			size++
 		}
-		e.shards[k].lo, e.shards[k].hi = lo, lo+size
-		e.shards[k].resetBest()
+		s := &e.shards[k]
+		s.lo, s.hi = lo, lo+size
+		s.resetBest()
+		if views := min(s.hi, honest) - s.lo; views > 0 {
+			s.heightCount = append(s.heightCount, views)
+			s.tracked = views
+			s.addTipRef(blockchain.GenesisID, int32(views))
+		}
 		lo += size
 	}
 	e.cursorsBuf = make([]network.ShardCursor, 0, nshards)
-	for i := 0; i < honest; i++ {
-		e.shardOf(i).add(i, blockchain.GenesisID, 0, e.halfLo)
-	}
 	e.deliverFn = func(k int) {
 		s := &e.shards[k]
 		s.err = e.deliverRange(s, e.deliverRound)
@@ -439,15 +466,19 @@ func (e *Engine) acquirePool() *pool.Pool {
 // setTip moves player i's view to tip id at height h, keeping the
 // incremental statistics in sync when i is currently honest. During the
 // parallel delivery phase, i always lies in the calling worker's own
-// shard, so the statistics update stays worker-private.
+// shard, so the statistics update stays worker-private (and the view
+// classes are dropped, so their state is not written).
 func (e *Engine) setTip(i int, id blockchain.BlockID, h int) {
 	if i < e.honest {
 		s := e.shardOf(i)
-		s.remove(e.tips[i], e.tipHeights[i])
+		s.remove(e.view(i))
 		s.add(i, id, h, e.halfLo)
 	}
-	e.tips[i] = id
-	e.tipHeights[i] = h
+	e.setDeviantView(i, id, h)
+	if !e.vc.stale {
+		e.tips[i] = id
+		e.tipHeights[i] = h
+	}
 }
 
 // resizeHonest moves the honest/corrupted boundary to newHonest,
@@ -490,7 +521,8 @@ func (e *Engine) PlayerTip(i int) (blockchain.BlockID, error) {
 	if i < 0 || i >= e.honest {
 		return 0, fmt.Errorf("engine: honest player %d outside [0, %d)", i, e.honest)
 	}
-	return e.tips[i], nil
+	tip, _ := e.view(i)
+	return tip, nil
 }
 
 // mergeTips stamps every distinct tip across the shard tip lists and
@@ -694,9 +726,11 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 
 // finalize copies the run-level outcome into res.
 func (e *Engine) finalize(res *Result) {
-	res.FinalTips = append([]blockchain.BlockID(nil), e.tips...)
+	res.FinalTips = e.finalTips()
 	res.HonestBlocks = e.honestBlocks
 	res.AdversaryBlocks = e.adversaryBlocks
+	res.FoldRounds = e.vc.foldRounds
+	res.WalkRounds = e.vc.walkRounds
 }
 
 // finishObservers dispatches the OnFinish hook of the observer stack.
@@ -743,20 +777,23 @@ func (e *Engine) step() (RoundRecord, error) {
 	// current chain). The phase runs sharded — serial for one shard, one
 	// worker per shard otherwise — with bit-identical results either way
 	// (see the Config doc). A round with nothing due skips the walk
-	// outright — state-identical, since every Deliver would return nil;
-	// under fast-forward, a due round whose messages are all uniform
-	// broadcasts onto compactly tracked views is adopted in bulk instead
-	// of per recipient (flashDeliver, bit-identical by construction).
+	// outright — state-identical, since every Deliver would return nil.
+	// A due round whose messages are all uniform broadcasts onto
+	// compactly tracked views (≤ maxDeviants, no NuSchedule) is adopted
+	// by one fold per view class instead of per recipient, fast-forward
+	// or not (flashDeliver, bit-identical by construction).
 	if e.net.HasDue(t) {
-		if e.ff.armed && e.net.UniformPendingAt(t) && e.ensureUniformViews() {
+		if e.vc.enabled && e.net.UniformPendingAt(t) && e.ensureUniformViews() {
 			if err := e.flashDeliver(t); err != nil {
 				return RoundRecord{}, err
 			}
+			e.vc.foldRounds++
 		} else {
-			e.ff.uniformValid = false
+			e.dropViewClasses()
 			if err := e.deliverShards(t); err != nil {
 				return RoundRecord{}, err
 			}
+			e.vc.walkRounds++
 		}
 	}
 
@@ -769,6 +806,7 @@ func (e *Engine) step() (RoundRecord, error) {
 	if e.oracle != nil {
 		// Query only the honest prefix, mirroring the statistical path:
 		// corrupted players' queries are the adversary's (step 3).
+		e.materializeViews()
 		winners = e.oracle.mineRound(e.tips[:e.honest], e.winnersBuf)
 	} else if e.scenarioMining() {
 		// Unit-based mining (churn/weights; see churn.go): one query per
@@ -790,7 +828,8 @@ func (e *Engine) step() (RoundRecord, error) {
 	}
 	e.ff.preH = -1
 	for _, i := range winners {
-		parent := e.tips[i]
+		e.noteDeviant(i)
+		parent, _ := e.view(i)
 		b := blockchain.Block{
 			ID:     e.alloc.Next(),
 			Parent: parent,
@@ -802,7 +841,6 @@ func (e *Engine) step() (RoundRecord, error) {
 			return RoundRecord{}, fmt.Errorf("engine: round %d honest add: %w", t, err)
 		}
 		e.setTip(i, b.ID, b.Height)
-		e.noteDeviant(i)
 		e.honestBlocks++
 		if err := e.net.Broadcast(network.Message{Block: network.AnnounceBlock(b), From: int32(i), SentRound: int32(t)}, t, policy); err != nil {
 			return RoundRecord{}, fmt.Errorf("engine: round %d broadcast: %w", t, err)

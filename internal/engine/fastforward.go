@@ -25,24 +25,16 @@ package engine
 //     adversary's per-round quiet-state updates are replayed in bulk
 //     through SpanQuiescent.ObserveQuiet.
 //
-//   - Flash delivery: when a due round's messages all sit in the
-//     network's uniform broadcast slot and the honest views are
-//     compactly tracked (one majority tip plus ≤ ffMaxDeviants recent
-//     miners), the per-recipient adoption walk collapses to one fold
-//     per view class plus an O(shards + deviants) statistics rebuild —
-//     bit-identical to the walk because the longest-chain fold from a
-//     given start height has a unique outcome (see flashDeliver).
+//   - The round that ends a span runs through step() like any other, so
+//     a delivery-due round takes view-class delivery (viewclass.go)
+//     exactly when a stepped run would: the fold is not part of the
+//     fast path and engages with the flag on or off.
 //
 // docs/fastforward.md states the eligibility predicate and the RNG
 // draw-order contract; TestGoldenTracesFastForward pins the equivalence
 // on every golden configuration.
 
-import (
-	"fmt"
-
-	"neatbound/internal/blockchain"
-	"neatbound/internal/dist"
-)
+import "neatbound/internal/dist"
 
 // SpanQuiescent is implemented by adversary strategies whose quiet
 // rounds — zero adversarial successes, no pending publications — are
@@ -65,16 +57,11 @@ const (
 	// run loop's cancellation check keeps low latency even when the
 	// whole remaining run is quiet.
 	maxSkipSpan = 1 << 14
-	// ffMaxDeviants caps the compact view tracking: once more players
-	// deviate from the majority tip than this, flash delivery hands the
-	// round back to the sharded walk (re-arming when views reconverge).
-	ffMaxDeviants = 64
 )
 
 // ffState is the engine's fast-forward state. armed is decided once per
-// run (armFastForward); the uniform-view fields track the honest views
-// compactly between flash deliveries; preH/preA carry a pre-drawn
-// mining count into step() for the event round (-1 = not pre-drawn).
+// run (armFastForward); preH/preA carry a pre-drawn mining count into
+// step() for the event round (-1 = not pre-drawn).
 type ffState struct {
 	armed bool
 	quiet SpanQuiescent
@@ -86,17 +73,6 @@ type ffState struct {
 	honestBin, advBin dist.Binomial
 	hFail, aFail      dist.Geometric
 	nAdv              int
-	// Compact view tracking: when uniformValid, every honest view not
-	// listed in deviants sits exactly on (majTip, majH), and deviant d
-	// sits on its own self-mined tip with height ≥ majH (deviant
-	// heights never drop below the majority's — see flashDeliver).
-	// devTip/devH are flash-time scratch parallel to deviants.
-	uniformValid bool
-	majTip       blockchain.BlockID
-	majH         int
-	deviants     []int
-	devTip       []blockchain.BlockID
-	devH         []int
 	// preH/preA are the event round's pre-drawn mining counts.
 	preH, preA int
 }
@@ -137,11 +113,6 @@ func (e *Engine) armFastForward() {
 	e.ff.hFail = dist.Geometric{Q: hb.PZero()}
 	e.ff.aFail = dist.Geometric{Q: ab.PZero()}
 	e.ff.nAdv = nAdv
-	// All views start at genesis: the compact tracking begins valid.
-	e.ff.uniformValid = true
-	e.ff.majTip = blockchain.GenesisID
-	e.ff.majH = 0
-	e.ff.deviants = e.ff.deviants[:0]
 }
 
 // ffAdvance crosses the quiet span in front of the engine — every round
@@ -224,229 +195,4 @@ func (e *Engine) ffAdvance(res *Result) error {
 		e.obs.OnRound(e, rec)
 	}
 	return nil
-}
-
-// ensureUniformViews reports whether the compact view tracking is
-// valid, re-establishing it when the honest views have reconverged to a
-// single tip (the common state moments after any fork resolves).
-func (e *Engine) ensureUniformViews() bool {
-	if e.ff.uniformValid {
-		return true
-	}
-	if e.DistinctTipCount() != 1 {
-		return false
-	}
-	e.ff.uniformValid = true
-	e.ff.majTip = e.tips[0]
-	e.ff.majH = e.tipHeights[0]
-	e.ff.deviants = e.ff.deviants[:0]
-	return true
-}
-
-// noteDeviant records that honest player i's view left the majority tip
-// (it just mined). Re-noting an existing deviant is a no-op — its entry
-// already marks "on a self-mined tip"; past the tracking cap the
-// compact state is dropped and flash delivery falls back to the walk.
-func (e *Engine) noteDeviant(i int) {
-	if !e.ff.armed || !e.ff.uniformValid {
-		return
-	}
-	for _, d := range e.ff.deviants {
-		if d == i {
-			return
-		}
-	}
-	if len(e.ff.deviants) >= ffMaxDeviants {
-		e.ff.uniformValid = false
-		return
-	}
-	e.ff.deviants = append(e.ff.deviants, i)
-}
-
-// flashDeliver replaces the round's per-recipient adoption walk when
-// every due message sits in the network's uniform slot and the views
-// are compactly tracked. It is bit-identical to the walk:
-//
-//   - The longest-chain fold over the sorted message list from start
-//     height h ends at height max(h, M), where M is the maximal message
-//     height, and — whenever it adopts at all — on the first message of
-//     height M in delivery order (adoption is strictly increasing, so
-//     the fold's height is below M until exactly that message). The
-//     outcome therefore depends only on the start height, so one fold
-//     per view class reproduces every player's walk.
-//
-//   - A message's sender is never affected by its own entry (its height
-//     already ≥ the block's — it set its tip there when mining), so the
-//     per-recipient sender exclusion is adoption-neutral and the fold
-//     can ignore it.
-//
-//   - Deviant heights never drop below the majority's (a deviant mined
-//     from height ≥ majH; folds preserve the ordering since both ends
-//     move to max(·, M)), so after the majority adopts to newH = M,
-//     every deviant either joins the unique winning tip (M above its
-//     height — it is pruned from the deviant list) or keeps its own
-//     self-mined tip at height ≥ newH.
-//
-// When the majority does not adopt (M ≤ majH), no view adopts anything
-// — every height is ≥ majH ≥ M — and draining the slot is the round's
-// entire effect.
-func (e *Engine) flashDeliver(t int) error {
-	msgs := e.net.DrainUniform(t)
-	// Mirror deliverRange's tree-membership check: a strategy sending
-	// an unregistered block must surface as the same error.
-	for _, m := range msgs {
-		if !e.tree.Has(m.Block.ID) {
-			return fmt.Errorf("engine: round %d adopt: %w %d", t, blockchain.ErrUnknownBlock, m.Block.ID)
-		}
-	}
-	newTip, newH := e.ff.majTip, e.ff.majH
-	for _, m := range msgs {
-		if int(m.Block.Height) > newH {
-			newTip, newH = m.Block.ID, int(m.Block.Height)
-		}
-	}
-	if newH == e.ff.majH {
-		return nil
-	}
-
-	// Prune deviants that join the winning tip — by adopting it, or by
-	// already sitting on it (the winner may be a deviant's own earlier
-	// broadcast) — and snapshot the kept deviants' views before the
-	// bulk fill overwrites them.
-	keep := e.ff.deviants[:0]
-	e.ff.devTip, e.ff.devH = e.ff.devTip[:0], e.ff.devH[:0]
-	for _, d := range e.ff.deviants {
-		if newH > e.tipHeights[d] || e.tips[d] == newTip {
-			continue
-		}
-		keep = append(keep, d)
-		e.ff.devTip = append(e.ff.devTip, e.tips[d])
-		e.ff.devH = append(e.ff.devH, e.tipHeights[d])
-	}
-	e.ff.deviants = keep
-
-	// Bulk-adopt: every view to the winner, then the kept deviants'
-	// snapshots written back over their slots.
-	for i := range e.tips {
-		e.tips[i] = newTip
-	}
-	for i := range e.tipHeights {
-		e.tipHeights[i] = newH
-	}
-	for j, d := range e.ff.deviants {
-		e.tips[d] = e.ff.devTip[j]
-		e.tipHeights[d] = e.ff.devH[j]
-	}
-
-	// Rebuild the per-shard statistics from the two view classes in
-	// O(shard span + deviants) per shard, instead of per-player
-	// remove/add pairs.
-	for k := range e.shards {
-		e.rebuildShardUniform(&e.shards[k], newTip, newH)
-	}
-	e.ff.majTip, e.ff.majH = newTip, newH
-	return nil
-}
-
-// addTipRef counts count views on tip id, growing the refcount arena
-// and registering the tip in tipList on first reference — the tip half
-// of shardStat.add, for bulk counts.
-func (s *shardStat) addTipRef(id blockchain.BlockID, count int32) {
-	for uint64(len(s.tipRefs)) <= uint64(id) {
-		s.tipRefs = append(s.tipRefs, 0)
-		s.tipPos = append(s.tipPos, 0)
-	}
-	s.tipRefs[id] += count
-	if s.tipRefs[id] == count {
-		s.tipList = append(s.tipList, id)
-		s.tipPos[id] = int32(len(s.tipList))
-	}
-}
-
-// rebuildShardUniform rewrites shard s's accumulators for the
-// post-flash views: every player in [lo, hi) on (newTip, newH) except
-// the tracked deviants, whose corrected views were just written into
-// e.tips/e.tipHeights. All resulting fields are exact functions of the
-// current views — the same values the serial remove/add pairs would
-// have produced — so sharded and flash runs stay on one trace.
-func (e *Engine) rebuildShardUniform(s *shardStat, newTip blockchain.BlockID, newH int) {
-	size := s.hi - s.lo
-	// Drop the old state: the height support is exactly [minH, maxH],
-	// and tipList enumerates every tip with a live refcount.
-	for h := s.minH; h <= s.maxH; h++ {
-		s.heightCount[h] = 0
-	}
-	for _, id := range s.tipList {
-		s.tipRefs[id] = 0
-		s.tipPos[id] = 0
-	}
-	s.tipList = s.tipList[:0]
-
-	// Majority baseline, then per-deviant corrections.
-	for len(s.heightCount) <= newH {
-		s.heightCount = append(s.heightCount, 0)
-	}
-	s.heightCount[newH] = size
-	s.minH, s.maxH = newH, newH
-	s.tracked = size
-	s.resetBest()
-	// Per-half argmax candidate: the lowest-indexed player of each half
-	// segment. If it is a majority member it is the majority class's
-	// argmax (all majority views tie at newH; lowest index wins); if it
-	// is a deviant, its height ≥ newH means no majority member can beat
-	// it either on height or on the min-index tie-break, so comparing
-	// the deviants (below) against this candidate is exhaustive.
-	for half := 0; half < 2; half++ {
-		a, b := s.lo, s.hi
-		if half == 0 {
-			if b > e.halfLo {
-				b = e.halfLo
-			}
-		} else if a < e.halfLo {
-			a = e.halfLo
-		}
-		if a >= b {
-			continue
-		}
-		if h := e.tipHeights[a]; h > 0 {
-			s.bestH[half], s.bestIdx[half], s.bestTip[half] = h, a, e.tips[a]
-		}
-	}
-	majCount := size
-	for j, d := range e.ff.deviants {
-		if d < s.lo || d >= s.hi {
-			continue
-		}
-		dTip, dH := e.ff.devTip[j], e.ff.devH[j]
-		majCount--
-		if dH != newH {
-			// Deviant heights are ≥ newH, so corrections only extend
-			// the bracket upward.
-			s.heightCount[newH]--
-			for len(s.heightCount) <= dH {
-				s.heightCount = append(s.heightCount, 0)
-			}
-			s.heightCount[dH]++
-			if dH > s.maxH {
-				s.maxH = dH
-			}
-		}
-		// Kept deviant tips are distinct self-mined blocks ≠ newTip.
-		s.addTipRef(dTip, 1)
-		half := 0
-		if d >= e.halfLo {
-			half = 1
-		}
-		if dH > 0 && (dH > s.bestH[half] || (dH == s.bestH[half] && d < s.bestIdx[half])) {
-			s.bestH[half], s.bestIdx[half], s.bestTip[half] = dH, d, dTip
-		}
-	}
-	if majCount > 0 {
-		s.addTipRef(newTip, int32(majCount))
-	}
-	// Every shard member may be a taller deviant, leaving zero views at
-	// newH: advance the bracket onto the real support.
-	for s.minH < s.maxH && s.heightCount[s.minH] == 0 {
-		s.minH++
-	}
 }

@@ -14,8 +14,9 @@ import (
 // random function H of Section III with a fresh nonce, succeeding iff the
 // hash meets the difficulty target D_p. The two paths are statistically
 // identical (each query succeeds independently with probability p);
-// TestOraclePathMatchesStatisticalPath cross-validates them, backing the
-// substitution note in DESIGN.md.
+// TestOraclePathMatchesStatisticalPath cross-validates them, which is
+// what licenses the binomial sampling as a substitute for literal hash
+// queries everywhere else.
 
 // oracleMiner holds the per-engine oracle state.
 type oracleMiner struct {

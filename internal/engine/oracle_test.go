@@ -43,8 +43,8 @@ func TestOracleRunCompletes(t *testing.T) {
 	}
 }
 
-// TestOraclePathMatchesStatisticalPath is the DESIGN.md substitution
-// cross-check: the literal hash-query path and the binomial-sampling path
+// TestOraclePathMatchesStatisticalPath is the substitution cross-check
+// (see oracle.go): the literal hash-query path and the binomial-sampling path
 // must produce the same honest block rate (each is µn independent
 // Bernoulli(p) trials per round).
 func TestOraclePathMatchesStatisticalPath(t *testing.T) {

@@ -53,9 +53,9 @@ func branchBestBrute(e *Engine) (tips [2]blockchain.BlockID, heights [2]int) {
 		if i >= e.honest/2 {
 			half = 1
 		}
-		if h := e.tipHeights[i]; h > heights[half] {
+		if tip, h := e.view(i); h > heights[half] {
 			heights[half] = h
-			tips[half] = e.tips[i]
+			tips[half] = tip
 		}
 	}
 	return tips, heights
@@ -65,38 +65,51 @@ func branchBestBrute(e *Engine) (tips [2]blockchain.BlockID, heights [2]int) {
 // corrupted execution — exercising adopt, mine, and resize updates plus
 // the half-boundary moves the golden set never combines — and checks
 // the incremental per-shard argmax against the reference scan after
-// every round, for serial and sharded engines.
+// every round, for serial and sharded engines. Without the adaptive
+// corruption the same run delivers through view classes, whose fold
+// rebuilds the argmax from the class state.
 func TestBranchBestMatchesScan(t *testing.T) {
 	for _, shards := range []int{1, 3} {
-		adv := &balanceProbe{}
-		cfg := Config{
-			Params: params.Params{N: 30, P: 0.01, Delta: 3, Nu: 0.3},
-			Rounds: 800,
-			Seed:   42,
-			Shards: shards,
-			NuSchedule: func(round int) float64 {
-				if (round/50)%2 == 0 {
-					return 0.4
-				}
-				return 0.15
-			},
-			Adversary: adv,
+		for _, adaptive := range []bool{true, false} {
+			testBranchBestMatchesScan(t, shards, adaptive)
 		}
-		cfg.OnRound = func(e *Engine, rec RoundRecord) {
-			gotTips, gotHeights := e.BranchBest()
-			wantTips, wantHeights := branchBestBrute(e)
-			if gotTips != wantTips || gotHeights != wantHeights {
-				t.Fatalf("shards=%d round %d: BranchBest (%v, %v), reference scan (%v, %v)",
-					shards, rec.Round, gotTips, gotHeights, wantTips, wantHeights)
+	}
+}
+
+func testBranchBestMatchesScan(t *testing.T, shards int, adaptive bool) {
+	cfg := Config{
+		Params:    params.Params{N: 30, P: 0.01, Delta: 3, Nu: 0.3},
+		Rounds:    800,
+		Seed:      42,
+		Shards:    shards,
+		Adversary: &balanceProbe{},
+	}
+	if adaptive {
+		cfg.NuSchedule = func(round int) float64 {
+			if (round/50)%2 == 0 {
+				return 0.4
 			}
+			return 0.15
 		}
-		e, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
+	}
+	cfg.OnRound = func(e *Engine, rec RoundRecord) {
+		gotTips, gotHeights := e.BranchBest()
+		wantTips, wantHeights := branchBestBrute(e)
+		if gotTips != wantTips || gotHeights != wantHeights {
+			t.Fatalf("shards=%d adaptive=%v round %d: BranchBest (%v, %v), reference scan (%v, %v)",
+				shards, adaptive, rec.Round, gotTips, gotHeights, wantTips, wantHeights)
 		}
-		if _, err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !adaptive && res.FoldRounds == 0 {
+		t.Fatalf("shards=%d: no round folded; the view-class input exercised nothing", shards)
 	}
 }
 
@@ -181,19 +194,16 @@ func TestShardedParityLargeN(t *testing.T) {
 }
 
 // TestDistinctTipsMatchesViewScan cross-checks the tip-list merge
-// against a direct scan of all honest views after a contentious run.
+// against a direct scan of all honest views, every round of a
+// contentious run.
 func TestDistinctTipsMatchesViewScan(t *testing.T) {
 	for _, shards := range []int{1, 4} {
-		e, err := New(Config{
-			Params: params.Params{N: 25, P: 0.02, Delta: 4, Nu: 0.2},
-			Rounds: 500, Seed: 11, Shards: shards,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		rounds := 0
 		check := func(e *Engine, rec RoundRecord) {
+			rounds++
 			seen := map[blockchain.BlockID]struct{}{}
-			for _, tip := range e.tips[:e.honest] {
+			for i := 0; i < e.honest; i++ {
+				tip, _ := e.view(i)
 				seen[tip] = struct{}{}
 			}
 			if got := e.DistinctTipCount(); got != len(seen) {
@@ -209,9 +219,18 @@ func TestDistinctTipsMatchesViewScan(t *testing.T) {
 				}
 			}
 		}
-		e.cfg.OnRound = check
+		e, err := New(Config{
+			Params: params.Params{N: 25, P: 0.02, Delta: 4, Nu: 0.2},
+			Rounds: 500, Seed: 11, Shards: shards, Observer: ObserverFunc(check),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if _, err := e.Run(); err != nil {
 			t.Fatal(err)
+		}
+		if rounds != 500 {
+			t.Fatalf("shards=%d: the check ran on %d of 500 rounds", shards, rounds)
 		}
 	}
 }

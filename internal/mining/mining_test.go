@@ -275,8 +275,8 @@ func TestIDAllocatorConcurrent(t *testing.T) {
 	}
 }
 
-// BenchmarkMiningAggregateVsLoop quantifies the ablation recorded in
-// DESIGN.md: one binomial draw per round versus one Bernoulli per miner.
+// BenchmarkMiningAggregateVsLoop quantifies the mining ablation: one
+// binomial draw per round versus one Bernoulli per miner.
 func BenchmarkMiningAggregateVsLoop(b *testing.B) {
 	const miners = 100000
 	const p = 3e-5

@@ -202,11 +202,13 @@ type slot struct {
 	uniformPending int
 	// drainedStamp[i] == round marks recipient i as having drained the
 	// uniform entries this round, so repeated drains never deliver a
-	// uniform message twice. No reset is needed on recycle: delivery
-	// rounds are ≥ 1 and distinct per slot generation, so a stale stamp
-	// can never equal the new round. Entries are written by at most one
-	// delivery cursor per round (disjoint recipient ranges), so the
-	// sharded drain stays race-free.
+	// uniform message twice. Only the per-recipient drains read it, so
+	// they allocate it (ensureDrainState) and a slot drained only
+	// through DrainUniform never pays for it. No reset is
+	// needed on recycle: delivery rounds are ≥ 1 and distinct per slot
+	// generation, so a stale stamp can never equal the new round.
+	// Entries are written by at most one delivery cursor per round
+	// (disjoint recipient ranges), so the sharded drain stays race-free.
 	drainedStamp []int
 }
 
@@ -320,9 +322,10 @@ func (n *Network) clampDelivery(sent, round int) int {
 
 // recycleSlot repurposes a fully drained slot for round r, keeping its
 // buffers. The caller has checked s.pending == 0. Per-recipient buffers
-// stay lazy: a slot that only ever carries uniform entries (the large-n
-// fast-forward regime) never pays the O(players) byRecipient array —
-// the dominant allocation of pre-arena large-n runs.
+// and drained stamps stay lazy: a slot that only ever carries uniform
+// entries and is drained by DrainUniform (every round of a large-n
+// max-delay run) never pays the O(players) byRecipient and
+// drainedStamp arrays.
 func (n *Network) recycleSlot(s *slot, r int) {
 	s.round = r
 	s.uniform = s.uniform[:0]
@@ -335,6 +338,19 @@ func (n *Network) recycleSlot(s *slot, r int) {
 func (n *Network) ensureByRecipient(s *slot) {
 	if s.byRecipient == nil {
 		s.byRecipient = make([][]Message, n.players)
+	}
+}
+
+// ensureDrainState readies a slot with pending messages for a
+// per-recipient drain: its per-recipient buffers and, when uniform
+// entries are pending, its drained stamps. The two are allocated
+// separately because a slot's buffers may already exist (a per-recipient
+// enqueue made them) when its first uniform entry arrives. Serial call
+// sites only (DeliverTo, BeginRound).
+func (n *Network) ensureDrainState(s *slot) {
+	n.ensureByRecipient(s)
+	if s.uniformPending > 0 && s.drainedStamp == nil {
+		s.drainedStamp = make([]int, n.players)
 	}
 }
 
@@ -426,9 +442,6 @@ func (n *Network) enqueueUniform(m Message, r int) bool {
 		s.uniformPending += fanout
 		s.pending += fanout
 		n.pending += fanout
-		if s.drainedStamp == nil {
-			s.drainedStamp = make([]int, n.players)
-		}
 	}
 	n.sent += fanout
 	return true
@@ -648,10 +661,11 @@ func (n *Network) DeliverTo(recipient, round int) []Message {
 	s := &n.ring[round%len(n.ring)]
 	if s.round == round {
 		if s.pending > 0 {
-			// Lazy per-recipient buffers: first per-recipient drain of a
-			// slot that was filled through the uniform path allocates them
-			// here (serial), so the buffer hand-back below keeps working.
-			n.ensureByRecipient(s)
+			// Lazy per-recipient buffers and drained stamps: the first
+			// per-recipient drain of a slot that was filled through the
+			// uniform path allocates them here (serial), so the stamp
+			// check and the buffer hand-back below keep working.
+			n.ensureDrainState(s)
 		}
 		if s.byRecipient != nil {
 			msgs = s.byRecipient[recipient]

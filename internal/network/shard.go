@@ -51,10 +51,10 @@ func (n *Network) Cursor(round int) ShardCursor {
 // exactly one cursor, so no synchronization is needed).
 func (n *Network) BeginRound(round int) {
 	// Cursors run on workers and must not allocate shared slot state:
-	// materialize the round's lazy per-recipient buffers here, on the
-	// serial side of the window.
+	// materialize the round's lazy per-recipient buffers and drained
+	// stamps here, on the serial side of the window.
 	if s := &n.ring[round%len(n.ring)]; s.round == round && s.pending > 0 {
-		n.ensureByRecipient(s)
+		n.ensureDrainState(s)
 	}
 	byRecipient, ok := n.overflow[round]
 	if !ok {

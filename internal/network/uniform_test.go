@@ -69,7 +69,7 @@ func TestSendAllInRangeSender(t *testing.T) {
 	}
 }
 
-// TestUniformPendingAt covers the flash-delivery gate: true only when
+// TestUniformPendingAt covers the view-class delivery gate: true only when
 // every due message for the round is a uniform entry.
 func TestUniformPendingAt(t *testing.T) {
 	n, _ := New(4, 3)
@@ -154,12 +154,15 @@ func TestUniformSlotOccupiedFallsBack(t *testing.T) {
 
 // TestUniformShardedDrainMatchesDeliverTo: the sharded cursor drain
 // must expand uniform entries exactly like DeliverTo — sender excluded,
-// merged in delivery order with ring-slot messages, counters settled at
-// EndRound.
+// merged in delivery order with ring-slot messages, each entry delivered
+// exactly once, counters settled at EndRound. The inputs cover a
+// uniform-only slot and a slot whose per-recipient buffers already
+// exist when its first uniform entry arrives (the drained stamps are
+// allocated lazily, on the first per-recipient drain).
 func TestUniformShardedDrainMatchesDeliverTo(t *testing.T) {
-	mk := func() *Network {
-		n, _ := New(6, 3)
-		if err := n.SendAll(Message{Block: blkAt(4, 1), From: -1, SentRound: 1}, 2); err != nil {
+	const players, round = 6, 2
+	uniform := func(t *testing.T, n *Network) {
+		if err := n.SendAll(Message{Block: blkAt(4, 1), From: -1, SentRound: 1}, round); err != nil {
 			t.Fatal(err)
 		}
 		// A broadcast from player 1 lands per-recipient or uniform
@@ -168,35 +171,111 @@ func TestUniformShardedDrainMatchesDeliverTo(t *testing.T) {
 		if err := n.Broadcast(Message{Block: blkAt(7, 1), From: 1, SentRound: 1}, 1, MinDelay{}); err != nil {
 			t.Fatal(err)
 		}
-		return n
 	}
-	nRef, nCur := mk(), mk()
-	var want [][]Message
-	for r := 0; r < 6; r++ {
-		want = append(want, append([]Message(nil), nRef.DeliverTo(r, 2)...))
-	}
-	nCur.BeginRound(2)
-	c0, c1 := nCur.Cursor(2), nCur.Cursor(2)
-	for r := 0; r < 3; r++ {
-		got := c0.Deliver(r)
-		if len(got) != len(want[r]) {
-			t.Fatalf("recipient %d: %d messages, want %d", r, len(got), len(want[r]))
-		}
-		for i := range got {
-			if got[i].Block.ID != want[r][i].Block.ID {
-				t.Fatalf("recipient %d order differs", r)
+	for _, tc := range []struct {
+		name string
+		fill func(t *testing.T, n *Network)
+		// want[r] is recipient r's message count.
+		want [players]int
+	}{
+		{"uniform-only", uniform, [players]int{2, 1, 2, 2, 2, 2}},
+		{"uniform-after-per-recipient", func(t *testing.T, n *Network) {
+			if err := n.Send(Message{Block: blkAt(9, 1), From: -1, SentRound: 1}, 0, round); err != nil {
+				t.Fatal(err)
 			}
+			if n.ring[round%len(n.ring)].byRecipient == nil {
+				t.Fatal("per-recipient send left the slot's buffers unallocated")
+			}
+			uniform(t, n)
+		}, [players]int{3, 1, 2, 2, 2, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mk := func() *Network {
+				n, _ := New(players, 3)
+				tc.fill(t, n)
+				return n
+			}
+			nRef, nCur := mk(), mk()
+			var want [][]Message
+			for r := 0; r < players; r++ {
+				got := append([]Message(nil), nRef.DeliverTo(r, round)...)
+				if len(got) != tc.want[r] {
+					t.Fatalf("DeliverTo recipient %d: %d messages, want %d", r, len(got), tc.want[r])
+				}
+				if again := nRef.DeliverTo(r, round); len(again) != 0 {
+					t.Fatalf("DeliverTo recipient %d: second drain returned %v", r, again)
+				}
+				want = append(want, got)
+			}
+			nCur.BeginRound(round)
+			c0, c1 := nCur.Cursor(round), nCur.Cursor(round)
+			for r := 0; r < players; r++ {
+				c := &c0
+				if r >= players/2 {
+					c = &c1
+				}
+				got := c.Deliver(r)
+				if len(got) != len(want[r]) {
+					t.Fatalf("cursor recipient %d: %d messages, want %d", r, len(got), len(want[r]))
+				}
+				for i := range got {
+					if got[i].Block.ID != want[r][i].Block.ID || got[i].From != want[r][i].From {
+						t.Fatalf("cursor recipient %d order differs", r)
+					}
+				}
+				if again := c.Deliver(r); len(again) != 0 {
+					t.Fatalf("cursor recipient %d: second drain returned %v", r, again)
+				}
+			}
+			nCur.EndRound(round, []ShardCursor{c0, c1})
+			if nCur.Pending() != nRef.Pending() || nCur.Delivered() != nRef.Delivered() {
+				t.Fatalf("counters diverge after sharded drain: (%d, %d) vs (%d, %d)",
+					nCur.Pending(), nCur.Delivered(), nRef.Pending(), nRef.Delivered())
+			}
+			if nRef.Pending() != 0 {
+				t.Fatalf("%d messages still pending after every recipient drained", nRef.Pending())
+			}
+		})
+	}
+}
+
+// TestUniformOnlySlotAllocatesNothing: a ring whose slots only ever
+// carry uniform entries, drained through DrainUniform (the engine's
+// view-class fold), allocates nothing per round in steady state and
+// never materializes the O(players) per-recipient buffers or drained
+// stamps — only the per-recipient drains read those.
+func TestUniformOnlySlotAllocatesNothing(t *testing.T) {
+	const players, delta = 1000, 4
+	n, _ := New(players, delta)
+	policy := MaxDelay{Delta: delta}
+	round := 0
+	step := func() {
+		round++
+		if n.UniformPendingAt(round) {
+			n.DrainUniform(round)
+		}
+		id := blockchain.BlockID(round)
+		if err := n.Broadcast(Message{Block: blkAt(id, round), From: int32(round % players), SentRound: int32(round)}, round, policy); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.SendAll(Message{Block: blkAt(id+1<<32, round), From: -1, SentRound: int32(round)}, round+1+round%delta); err != nil {
+			t.Fatal(err)
 		}
 	}
-	for r := 3; r < 6; r++ {
-		got := c1.Deliver(r)
-		if len(got) != len(want[r]) {
-			t.Fatalf("recipient %d: %d messages, want %d", r, len(got), len(want[r]))
+	// Warm up past the in-flight tracker's first prune, so every
+	// retained buffer has reached its steady capacity.
+	for i := 0; i < 4096; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Errorf("steady-state uniform enqueue + drain: %v allocs per round, want 0", allocs)
+	}
+	for i := range n.ring {
+		if s := &n.ring[i]; s.drainedStamp != nil || s.byRecipient != nil {
+			t.Errorf("slot %d (round %d): per-recipient state allocated on a uniform-only ring", i, s.round)
 		}
 	}
-	nCur.EndRound(2, []ShardCursor{c0, c1})
-	if nCur.Pending() != nRef.Pending() || nCur.Delivered() != nRef.Delivered() {
-		t.Fatalf("counters diverge after sharded drain: (%d, %d) vs (%d, %d)",
-			nCur.Pending(), nCur.Delivered(), nRef.Pending(), nRef.Delivered())
+	if n.Delivered() == 0 {
+		t.Fatal("nothing was delivered; the test exercised no drain")
 	}
 }

@@ -1,9 +1,9 @@
 // Package report orchestrates every experiment in the repository —
 // the paper artifacts (Figure 1, Table I, Figure 2, Remark 1) and the
-// simulation-validation experiments S1–S6 of DESIGN.md — and renders a
-// single markdown report with measured-vs-predicted numbers. The
-// cmd/report binary wraps it; EXPERIMENTS.md is generated from its
-// output.
+// simulation-validation experiments S1–S7, one report section each
+// (sectionS1Convergence … sectionS7DepthTail) — and renders a single
+// markdown report with measured-vs-predicted numbers. The cmd/report
+// binary wraps it (`go run ./cmd/report -o report.md`).
 package report
 
 import (
