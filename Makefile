@@ -6,15 +6,15 @@ GO ?= go
 # append-only — bench refuses to overwrite an existing one.
 BENCH_LABEL ?= current
 
-.PHONY: verify fmt vet build examples docs-check test test-race test-parallel test-pool test-dist test-skip test-mem test-svc test-chaos test-scenarios bench bench-mem
+.PHONY: verify fmt vet build examples docs-check test test-race test-parallel test-pool test-dist test-skip test-mem test-svc test-chaos test-scenarios test-bench bench bench-mem
 
 ## verify: the full tier-1 gate — formatting, vet, build (`go build
 ## ./...` compiles the examples too), the package-doc check, the quick
 ## pooled-parity, distributed-parity, fast-forward-equivalence,
-## memory/compaction, sweep-service, and fault-tolerance checks, and
-## the race test suite (~6 min; internal/dist's statistical tests
-## dominate).
-verify: fmt vet build docs-check test-pool test-dist test-skip test-mem test-svc test-chaos test-scenarios test-race
+## memory/compaction, sweep-service, and fault-tolerance checks, the
+## benchmark harness's vet and smoke test, and the race test suite
+## (~6 min; internal/dist's statistical tests dominate).
+verify: fmt vet build docs-check test-pool test-dist test-skip test-mem test-svc test-chaos test-scenarios test-bench test-race
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -118,6 +118,13 @@ test-chaos:
 test-scenarios:
 	$(GO) test -race -short -run 'Scenario|Churn|Weighted|Partition|Bursty|CrossCheck|Threshold|Compile|SkewedWeights|ParseRoundTrip|ValidateRejects|Fuzz' \
 		./internal/network/ ./internal/engine/ ./internal/scenario/... ./internal/sweep/ ./internal/distsweep/ .
+
+## test-bench: vet and smoke-test the benchmark harness. perfbench/ is
+## a nested module that the root `go test ./...` never builds, so this
+## is the check that a change to the API it compiles against still
+## keeps the benchmark runnable (seconds).
+test-bench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 ## bench: run the façade benchmarks, then append the BENCH_engine.json
 ## entry labeled $(BENCH_LABEL) — the core count is stamped

@@ -8,6 +8,7 @@
 package neatbound
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -100,10 +101,9 @@ func BenchmarkConvergenceRate(b *testing.B) {
 	}
 	const rounds = 20000
 	for i := 0; i < b.N; i++ {
-		rep, err := Simulate(SimulationConfig{
-			Params: pr, Rounds: rounds, Seed: uint64(i), T: 6,
-			Adversary: NewMaxDelayAdversary(),
-		})
+		rep, err := Run(context.Background(), pr,
+			WithRounds(rounds), WithSeed(uint64(i)), WithConsistency(6, 0),
+			WithAdversary(NewMaxDelayAdversary()))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -126,9 +126,8 @@ func BenchmarkAdversaryCount(b *testing.B) {
 	}
 	const rounds = 20000
 	for i := 0; i < b.N; i++ {
-		rep, err := Simulate(SimulationConfig{
-			Params: pr, Rounds: rounds, Seed: uint64(1000 + i), T: 6,
-		})
+		rep, err := Run(context.Background(), pr,
+			WithRounds(rounds), WithSeed(uint64(1000+i)), WithConsistency(6, 0))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -164,22 +163,19 @@ func BenchmarkMarkovEmpirical(b *testing.B) {
 // both sides of the bound under the private-mining attack.
 func BenchmarkConsistencySweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cells, err := Sweep(SweepConfig{
-			N: 40, Delta: 8,
-			NuValues: []float64{0.45},
-			CValues:  []float64{0.6, 25},
-			Rounds:   20000, Seed: uint64(i), T: 3, Workers: 2,
-			NewAdversary: func() Adversary { return NewPrivateMiningAdversary(4) },
-		})
+		cells, err := RunSweep(context.Background(),
+			SweepGrid{N: 40, Delta: 8, NuValues: []float64{0.45}, CValues: []float64{0.6, 25}},
+			WithRounds(20000), WithSeed(uint64(i)), WithConsistency(3, 0), WithWorkers(2),
+			WithAdversaryFactory(func() Adversary { return NewPrivateMiningAdversary(4) }))
 		if err != nil {
 			b.Fatal(err)
 		}
 		if cells[0].Err != nil || cells[1].Err != nil {
 			b.Fatalf("cell errors: %v %v", cells[0].Err, cells[1].Err)
 		}
-		if cells[0].Ledger.Margin() >= cells[1].Ledger.Margin() {
-			b.Fatalf("S4: Lemma-1 margin did not improve with c: %d vs %d",
-				cells[0].Ledger.Margin(), cells[1].Ledger.Margin())
+		if cells[0].Margin.Mean >= cells[1].Margin.Mean {
+			b.Fatalf("S4: Lemma-1 margin did not improve with c: %g vs %g",
+				cells[0].Margin.Mean, cells[1].Margin.Mean)
 		}
 	}
 }
@@ -192,10 +188,9 @@ func BenchmarkChainGrowthQuality(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		rep, err := Simulate(SimulationConfig{
-			Params: pr, Rounds: 20000, Seed: uint64(i), T: 6,
-			Adversary: NewMaxDelayAdversary(),
-		})
+		rep, err := Run(context.Background(), pr,
+			WithRounds(20000), WithSeed(uint64(i)), WithConsistency(6, 0),
+			WithAdversary(NewMaxDelayAdversary()))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -262,7 +257,7 @@ func BenchmarkSimulationRound(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rep, err := Simulate(SimulationConfig{Params: pr, Rounds: 1000, Seed: 1, T: 6})
+	rep, err := Run(context.Background(), pr, WithRounds(1000), WithSeed(1), WithConsistency(6, 0))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -271,7 +266,7 @@ func BenchmarkSimulationRound(b *testing.B) {
 	rounds := 0
 	for i := 0; i < b.N; i++ {
 		rounds += 1000
-		if _, err := Simulate(SimulationConfig{Params: pr, Rounds: 1000, Seed: uint64(i), T: 6}); err != nil {
+		if _, err := Run(context.Background(), pr, WithRounds(1000), WithSeed(uint64(i)), WithConsistency(6, 0)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -152,16 +153,22 @@ func measure(pr params.Params, rounds, iters, shards int, fastForward bool, comp
 	if iters < 1 || rounds < 1 {
 		return entry{}, fmt.Errorf("benchjson: iters and rounds must be ≥ 1")
 	}
-	var rep neatbound.SimulationReport
+	opts := []neatbound.Option{
+		neatbound.WithRounds(rounds),
+		neatbound.WithConsistency(6, 0),
+		neatbound.WithShards(shards),
+		neatbound.WithCompaction(compactEvery, 0),
+		neatbound.WithCheckerRetention(retention),
+		neatbound.WithScenario(scenario),
+	}
+	if fastForward {
+		opts = append(opts, neatbound.WithFastForward())
+	}
+	var rep *neatbound.RunReport
 	run := func(seed uint64) error {
 		var err error
-		rep, err = neatbound.Simulate(neatbound.SimulationConfig{
-			Params: pr, Rounds: rounds, Seed: seed, T: 6, Shards: shards,
-			FastForward:      fastForward,
-			CompactEvery:     compactEvery,
-			CheckerRetention: retention,
-			Scenario:         scenario,
-		})
+		rep, err = neatbound.Run(context.Background(), pr,
+			append([]neatbound.Option{neatbound.WithSeed(seed)}, opts...)...)
 		return err
 	}
 	// Warm-up run, excluded from the measurement.

@@ -48,6 +48,12 @@ import (
 	"neatbound/internal/sweepsvc"
 )
 
+// readHeaderTimeout bounds how long a client may take to send request
+// headers, so idle half-open connections cannot pin server goroutines.
+// There is deliberately no write timeout: /jobs/{id}/events is a
+// long-lived SSE stream.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -114,7 +120,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready chan<- stri
 	if err != nil {
 		return err
 	}
-	server := &http.Server{Handler: svc.Handler()}
+	server := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	fmt.Fprintf(stderr, "sweepd: serving on %s (store %s, %d cells cached)\n", ln.Addr(), *storeDir, st.Len())
 	if ready != nil {
 		ready <- ln.Addr().String()

@@ -1,6 +1,7 @@
 package neatbound_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -55,15 +56,17 @@ func ExampleConfirmationsForRisk() {
 }
 
 // A complete simulation with consistency verification.
-func ExampleSimulate() {
+func ExampleRun() {
 	pr, err := neatbound.ParamsFromC(20, 2, 0.25, 12.5)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := neatbound.Simulate(neatbound.SimulationConfig{
-		Params: pr, Rounds: 20000, Seed: 1, T: 8,
-		Adversary: neatbound.NewMaxDelayAdversary(),
-	})
+	rep, err := neatbound.Run(context.Background(), pr,
+		neatbound.WithRounds(20000),
+		neatbound.WithSeed(1),
+		neatbound.WithConsistency(8, 0),
+		neatbound.WithAdversary(neatbound.NewMaxDelayAdversary()),
+	)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,24 +4,24 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"neatbound"
 )
 
-func runOnce(nu, c float64, tee int) (neatbound.SimulationReport, error) {
+func runOnce(nu, c float64, tee int) (*neatbound.RunReport, error) {
 	pr, err := neatbound.ParamsFromC(40, 8, nu, c)
 	if err != nil {
-		return neatbound.SimulationReport{}, err
+		return nil, err
 	}
-	return neatbound.Simulate(neatbound.SimulationConfig{
-		Params:    pr,
-		Rounds:    40000,
-		Seed:      7,
-		Adversary: neatbound.NewPrivateMiningAdversary(4),
-		T:         tee,
-	})
+	return neatbound.Run(context.Background(), pr,
+		neatbound.WithRounds(40000),
+		neatbound.WithSeed(7),
+		neatbound.WithAdversary(neatbound.NewPrivateMiningAdversary(4)),
+		neatbound.WithConsistency(tee, 0),
+	)
 }
 
 func main() {

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -39,9 +40,9 @@ func main() {
 		{"selfish", neatbound.NewSelfishAdversary()},
 		{"balance", neatbound.NewBalanceAdversary()},
 	} {
-		rep, err := neatbound.Simulate(neatbound.SimulationConfig{
-			Params: pr, Rounds: 60000, Seed: 5, T: 8, Adversary: tc.adv,
-		})
+		rep, err := neatbound.Run(context.Background(), pr,
+			neatbound.WithRounds(60000), neatbound.WithSeed(5),
+			neatbound.WithConsistency(8, 0), neatbound.WithAdversary(tc.adv))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,13 +27,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep, err := neatbound.Simulate(neatbound.SimulationConfig{
-			Params:    pr,
-			Rounds:    rounds,
-			Seed:      11,
-			Adversary: neatbound.NewMaxDelayAdversary(),
-			T:         6,
-		})
+		rep, err := neatbound.Run(context.Background(), pr,
+			neatbound.WithRounds(rounds),
+			neatbound.WithSeed(11),
+			neatbound.WithAdversary(neatbound.NewMaxDelayAdversary()),
+			neatbound.WithConsistency(6, 0),
+		)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -33,8 +33,8 @@ type goldenCase struct {
 
 // traceHash runs the case and folds every per-round record plus the
 // final state into an FNV-1a hash. The record stream is tapped through
-// the legacy Config.OnRound hook; observerTraceHash taps the same
-// stream through the Observer stack instead.
+// a single ObserverFunc; observerTraceHash taps the same stream through
+// a MultiObserver instead.
 func traceHash(t *testing.T, gc goldenCase) uint64 {
 	return traceHashVia(t, gc, false)
 }
@@ -78,13 +78,7 @@ func traceHashVia(t *testing.T, gc goldenCase, viaObserver bool) uint64 {
 			engine.ObserverFunc(func(_ *engine.Engine, _ engine.RoundRecord) { rounds++ }),
 		)
 	} else {
-		prev := cfg.OnRound
-		cfg.OnRound = func(e *engine.Engine, rec engine.RoundRecord) {
-			mixRec(rec)
-			if prev != nil {
-				prev(e, rec)
-			}
-		}
+		cfg.Observer = engine.ObserverFunc(func(_ *engine.Engine, rec engine.RoundRecord) { mixRec(rec) })
 	}
 	e, err := engine.New(cfg)
 	if err != nil {
@@ -326,8 +320,8 @@ func TestGoldenTracesPooledShared(t *testing.T) {
 	}
 }
 
-// TestGoldenTracesObserver pins that the Observer stack sees the exact
-// record stream the legacy OnRound hook saw: for every golden
+// TestGoldenTracesObserver pins that a MultiObserver sees the exact
+// record stream a single observer sees: for every golden
 // configuration — serial and on a non-dividing shard count — the hash
 // mixed through a MultiObserver reproduces the pinned golden hashes.
 func TestGoldenTracesObserver(t *testing.T) {
@@ -339,7 +333,7 @@ func TestGoldenTracesObserver(t *testing.T) {
 				got := observerTraceHash(t, gc)
 				want := goldenTraces[name]
 				if got != want {
-					t.Errorf("observer trace hash = %#x, want %#x — the Observer path diverged from the OnRound path", got, want)
+					t.Errorf("observer trace hash = %#x, want %#x — the multiplexed observer path diverged from the single-observer path", got, want)
 				}
 			})
 		}

@@ -322,7 +322,7 @@ func TestCheckerOnRoundSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := engine.New(engine.Config{Params: pr, Rounds: 500, Seed: 3, OnRound: ck.OnRound})
+	e, err := engine.New(engine.Config{Params: pr, Rounds: 500, Seed: 3, Observer: ck})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestEndToEndConsistencyHonestRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := engine.New(engine.Config{Params: pr, Rounds: 20000, Seed: 4, OnRound: ck.OnRound})
+	e, err := engine.New(engine.Config{Params: pr, Rounds: 20000, Seed: 4, Observer: ck})
 	if err != nil {
 		t.Fatal(err)
 	}

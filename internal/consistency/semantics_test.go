@@ -36,7 +36,7 @@ func TestConvergenceOpportunityForcesAgreement(t *testing.T) {
 	opportunities, agreed := 0, 0
 	cfg := engine.Config{
 		Params: pr, Rounds: 60000, Seed: 101, Adversary: muteAdversary{},
-		OnRound: func(e *engine.Engine, rec engine.RoundRecord) {
+		Observer: engine.ObserverFunc(func(e *engine.Engine, rec engine.RoundRecord) {
 			if counter.Observe(rec.HonestMined) {
 				opportunities++
 				if rec.DistinctTips == 1 {
@@ -46,7 +46,7 @@ func TestConvergenceOpportunityForcesAgreement(t *testing.T) {
 						rec.Round, rec.DistinctTips)
 				}
 			}
-		},
+		}),
 	}
 	e, err := engine.New(cfg)
 	if err != nil {
@@ -75,7 +75,7 @@ func TestConvergenceAgreementMaxHeight(t *testing.T) {
 	checked := 0
 	cfg := engine.Config{
 		Params: pr, Rounds: 40000, Seed: 102, Adversary: muteAdversary{},
-		OnRound: func(e *engine.Engine, rec engine.RoundRecord) {
+		Observer: engine.ObserverFunc(func(e *engine.Engine, rec engine.RoundRecord) {
 			if !counter.Observe(rec.HonestMined) {
 				return
 			}
@@ -84,7 +84,7 @@ func TestConvergenceAgreementMaxHeight(t *testing.T) {
 				t.Errorf("round %d: opportunity with height spread %d..%d",
 					rec.Round, rec.MinHonestHeight, rec.MaxHonestHeight)
 			}
-		},
+		}),
 	}
 	e, err := engine.New(cfg)
 	if err != nil {
@@ -111,14 +111,14 @@ func TestOpportunityAgreementSurvivesHashedDelays(t *testing.T) {
 	opportunities := 0
 	cfg := engine.Config{
 		Params: pr, Rounds: 40000, Seed: 103, Adversary: adv,
-		OnRound: func(e *engine.Engine, rec engine.RoundRecord) {
+		Observer: engine.ObserverFunc(func(e *engine.Engine, rec engine.RoundRecord) {
 			if counter.Observe(rec.HonestMined) {
 				opportunities++
 				if rec.DistinctTips != 1 {
 					t.Errorf("round %d: %d tips under hashed delays", rec.Round, rec.DistinctTips)
 				}
 			}
-		},
+		}),
 	}
 	e, err := engine.New(cfg)
 	if err != nil {

@@ -335,15 +335,16 @@ func (c *coordinator) initPlacement() {
 
 // session is one live worker connection plus its persistent record
 // scanner (a fresh scanner per shard could buffer past record
-// boundaries). abort is once-guarded because both the stall watchdog
-// and the owning worker goroutine may tear the connection down.
+// boundaries). Both the stall watchdog and the owning worker goroutine
+// may tear the connection down; WorkerConn makes that happen at most
+// once, and aborted tells the owner the connection is gone.
 type session struct {
 	conn      *WorkerConn
 	enc       *json.Encoder
 	sc        *bufio.Scanner
-	abortOnce sync.Once
 	lastNanos atomic.Int64 // wall clock of the attempt's last progress
 	stalled   atomic.Bool
+	aborted   atomic.Bool
 }
 
 func newSession(conn *WorkerConn) *session {
@@ -352,9 +353,11 @@ func newSession(conn *WorkerConn) *session {
 	return &session{conn: conn, enc: json.NewEncoder(conn.In), sc: sc}
 }
 
-// abort tears the worker down forcefully, exactly once.
+// abort tears the worker down forcefully (a no-op once the connection
+// is already torn down).
 func (s *session) abort() {
-	s.abortOnce.Do(func() { s.conn.Abort() })
+	s.aborted.Store(true)
+	s.conn.Abort()
 }
 
 // touch records attempt progress for the stall watchdog.
@@ -401,7 +404,14 @@ func (c *coordinator) runWorker(id int) {
 			}
 			sess = newSession(conn)
 		}
-		if err := c.runShardOn(sess, c.specs[shardID]); err != nil {
+		err := c.runShardOn(sess, c.specs[shardID])
+		if err == nil && sess.aborted.Load() {
+			// The watchdog tore the worker down on cancellation after
+			// the summary arrived clean: the shard stands, the
+			// connection is gone and must not be reused.
+			sess = nil
+		}
+		if err != nil {
 			// The worker's state is unknown after a failed attempt (it may
 			// be wedged mid-stream), so tear it down forcefully rather
 			// than waiting on it. The teardown also reaps the worker,
@@ -474,9 +484,18 @@ func (c *coordinator) runShardOn(sess *session, spec ShardSpec) error {
 	// scanner read below — and classify the failure as a stall.
 	if c.opts.StallTimeout > 0 {
 		sess.touch()
+		// The watchdog is joined before returning, so the caller sees
+		// sess.aborted final: a session it aborted is never reused.
 		watchDone := make(chan struct{})
-		defer close(watchDone)
-		go c.watchStall(sess, watchDone)
+		watchExited := make(chan struct{})
+		defer func() {
+			close(watchDone)
+			<-watchExited
+		}()
+		go func() {
+			defer close(watchExited)
+			c.watchStall(sess, watchDone)
+		}()
 	}
 	if err := sess.enc.Encode(requestRecord{Spec: &spec}); err != nil {
 		return c.classifyAttempt(sess, spec, fmt.Errorf("distsweep: send shard %d: %w", spec.Shard, err))

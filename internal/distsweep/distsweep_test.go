@@ -396,3 +396,36 @@ func TestSweepValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkerConnTeardownOnce pins that a worker connection is torn down
+// at most once: Abort followed by Close — the stall watchdog aborting
+// on cancellation, then the owner's graceful shutdown — must return the
+// first teardown's error, not wait again on a worker that is gone. An
+// InProcess connection has no Kill, so Abort itself reaps the worker.
+func TestWorkerConnTeardownOnce(t *testing.T) {
+	for _, viaSession := range []bool{false, true} {
+		conn, err := InProcess{}.Start(context.Background(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type result struct{ abortErr, closeErr error }
+		done := make(chan result, 1)
+		go func() {
+			var r result
+			if viaSession {
+				newSession(conn).abort()
+			}
+			r.abortErr = conn.Abort()
+			r.closeErr = conn.Close()
+			done <- r
+		}()
+		select {
+		case r := <-done:
+			if r.abortErr != r.closeErr {
+				t.Errorf("session=%v: Close after Abort returned %v, Abort %v", viaSession, r.closeErr, r.abortErr)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("session=%v: Close after Abort did not return", viaSession)
+		}
+	}
+}

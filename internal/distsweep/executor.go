@@ -11,7 +11,11 @@ import (
 
 // WorkerConn is the coordinator's handle on one live worker: shard-spec
 // request lines go down In, cell and summary records come back on Out.
-// A connection is owned by exactly one coordinator goroutine at a time.
+// A connection is owned by exactly one coordinator goroutine at a time,
+// except that its teardown (Close or Abort) may race with the owner's:
+// a connection is torn down at most once, and every later Close or
+// Abort returns the first teardown's error without touching the worker
+// again.
 type WorkerConn struct {
 	// In receives the coordinator's shard-spec request lines; closing it
 	// tells the worker to finish and exit.
@@ -33,6 +37,9 @@ type WorkerConn struct {
 	// call concurrently with the worker running. (Add-only, like every
 	// WorkerConn field: a nil Diag just means no diagnostics.)
 	Diag func() string
+
+	endOnce sync.Once
+	endErr  error
 }
 
 // Close shuts the worker down gracefully: it closes In (the protocol's
@@ -40,6 +47,12 @@ type WorkerConn struct {
 // idle between shards; a worker in an unknown state (a failed attempt)
 // needs Abort.
 func (c *WorkerConn) Close() error {
+	c.endOnce.Do(func() { c.endErr = c.shutdown() })
+	return c.endErr
+}
+
+// shutdown closes In and reaps via Wait.
+func (c *WorkerConn) shutdown() error {
 	err := c.In.Close()
 	if c.Wait != nil {
 		if werr := c.Wait(); err == nil {
@@ -54,10 +67,14 @@ func (c *WorkerConn) Close() error {
 // graceful Close could wait on it (or, for a subprocess blocked writing
 // into a no-longer-read pipe, deadlock against it) indefinitely.
 func (c *WorkerConn) Abort() error {
-	if c.Kill != nil {
-		return c.Kill()
-	}
-	return c.Close()
+	c.endOnce.Do(func() {
+		if c.Kill != nil {
+			c.endErr = c.Kill()
+			return
+		}
+		c.endErr = c.shutdown()
+	})
+	return c.endErr
 }
 
 // Executor launches the workers a coordinator dispatches shards to. The

@@ -98,11 +98,6 @@ type Config struct {
 	// result. Compose several with Observers — the consistency checker,
 	// metric recorders, trace writers, and user hooks all attach here.
 	Observer Observer
-	// OnRound is the legacy single-function hook, called after Observer.
-	//
-	// Deprecated: set Observer instead (wrap a func with ObserverFunc);
-	// OnRound remains only so existing callers keep compiling.
-	OnRound func(e *Engine, rec RoundRecord)
 	// NuSchedule, when non-nil, makes corruption adaptive (the model's
 	// "A can corrupt an honest party or uncorrupt a corrupted player"):
 	// each round the adversary controls round(ν(t)·N) players, clamped to
@@ -270,8 +265,7 @@ type Engine struct {
 	players int
 	honest  int
 	adv     Adversary
-	// obs is the composed observer stack (Config.Observer plus the
-	// legacy Config.OnRound hook); nil when neither is set.
+	// obs is Config.Observer; nil when unset.
 	obs    Observer
 	advRng *rng.Stream
 	mineRg *rng.Stream
@@ -371,10 +365,6 @@ func New(cfg Config) (*Engine, error) {
 	if adv == nil {
 		adv = PassiveAdversary{}
 	}
-	obs := cfg.Observer
-	if cfg.OnRound != nil {
-		obs = Observers(obs, ObserverFunc(cfg.OnRound))
-	}
 	root := rng.New(cfg.Seed)
 	e := &Engine{
 		cfg:     cfg,
@@ -386,7 +376,7 @@ func New(cfg Config) (*Engine, error) {
 		honest:  honest,
 		halfLo:  honest / 2,
 		adv:     adv,
-		obs:     obs,
+		obs:     cfg.Observer,
 		advRng:  root.Split(1),
 		mineRg:  root.Split(2),
 	}

@@ -75,25 +75,6 @@ func TestMultiObserverOrderAndFinish(t *testing.T) {
 	}
 }
 
-func TestLegacyOnRoundStillObserves(t *testing.T) {
-	rounds := 0
-	viaObserver := 0
-	e, err := New(Config{
-		Params: testParams(), Rounds: 7, Seed: 2,
-		Observer: ObserverFunc(func(_ *Engine, _ RoundRecord) { viaObserver++ }),
-		OnRound:  func(_ *Engine, _ RoundRecord) { rounds++ },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if rounds != 7 || viaObserver != 7 {
-		t.Errorf("OnRound saw %d rounds, Observer %d; want 7 and 7", rounds, viaObserver)
-	}
-}
-
 func TestTraceWriterEmitsJSONLines(t *testing.T) {
 	var buf bytes.Buffer
 	tw := NewTraceWriter(&buf)

@@ -92,14 +92,14 @@ func testBranchBestMatchesScan(t *testing.T, shards int, adaptive bool) {
 			return 0.15
 		}
 	}
-	cfg.OnRound = func(e *Engine, rec RoundRecord) {
+	cfg.Observer = ObserverFunc(func(e *Engine, rec RoundRecord) {
 		gotTips, gotHeights := e.BranchBest()
 		wantTips, wantHeights := branchBestBrute(e)
 		if gotTips != wantTips || gotHeights != wantHeights {
 			t.Fatalf("shards=%d adaptive=%v round %d: BranchBest (%v, %v), reference scan (%v, %v)",
 				shards, adaptive, rec.Round, gotTips, gotHeights, wantTips, wantHeights)
 		}
-	}
+	})
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

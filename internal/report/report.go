@@ -7,9 +7,9 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"io"
-
 	"strings"
 
 	"neatbound/internal/adversary"
@@ -262,13 +262,13 @@ func sectionS4Sweep(w io.Writer, cfg Config) error {
 	fmt.Fprintf(w, "\n## S4 — consistency across the bound (%s attack)\n\n", name)
 	fmt.Fprintf(w, "n=40 Δ=8 ν=0.45 (neat bound c > 5.48), T=3, %d rounds × %d replicates\n\n",
 		cfg.Rounds/3, cfg.Replicates)
-	cells, err := sweep.RunReplicated(sweep.Config{
+	cells, err := sweep.RunGrid(context.Background(), sweep.Config{
 		N: 40, Delta: 8,
 		NuValues: []float64{0.45},
 		CValues:  []float64{0.6, 2, 5.5, 25},
 		Rounds:   cfg.Rounds / 3, Seed: cfg.Seed + 21, T: 3, Workers: cfg.Workers,
 		NewAdversary: newAdv,
-	}, cfg.Replicates)
+	}, cfg.Replicates, nil)
 	if err != nil {
 		return err
 	}

@@ -147,7 +147,7 @@ func (s *Spec) Validate() error {
 // engine-ready knobs.
 type Compiled struct {
 	// Policy, when non-nil, is the honest-broadcast delay schedule the
-	// scenario imposes (wrap the adversary with Wrap to install it).
+	// scenario imposes (Install wraps the adversary with it).
 	Policy network.DelayPolicy
 	// Churn is the engine churn plan, or nil.
 	Churn *engine.ChurnPlan
@@ -226,6 +226,29 @@ func (s *Spec) Compile(pr params.Params) (Compiled, error) {
 		c.Weights = SkewedWeights(honest, heavy)
 	}
 	return c, nil
+}
+
+// Install compiles s against cfg.Params and applies it to cfg: the
+// compiled delay policy wraps cfg.Adversary (the passive baseline when
+// nil), and the churn plan and mining weights set cfg.Churn and
+// cfg.MiningWeights. A nil s leaves cfg unchanged.
+func (s *Spec) Install(cfg *engine.Config) error {
+	if s == nil {
+		return nil
+	}
+	compiled, err := s.Compile(cfg.Params)
+	if err != nil {
+		return err
+	}
+	if compiled.Policy != nil {
+		if cfg.Adversary == nil {
+			cfg.Adversary = engine.PassiveAdversary{}
+		}
+		cfg.Adversary = Wrap(cfg.Adversary, compiled.Policy)
+	}
+	cfg.Churn = compiled.Churn
+	cfg.MiningWeights = compiled.Weights
+	return nil
 }
 
 // SkewedWeights builds a deterministic skewed weight vector for honest

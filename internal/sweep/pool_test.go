@@ -22,7 +22,7 @@ func TestSweepSharedPoolParity(t *testing.T) {
 		T:        4,
 		Workers:  3,
 	}
-	serial, err := Run(base)
+	serial, err := runCells(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestSweepSharedPoolParity(t *testing.T) {
 	pooled := base
 	pooled.Shards = 3
 	pooled.Pool = shared
-	got, err := Run(pooled)
+	got, err := runCells(pooled)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,32 +146,6 @@ func RunEach(ctx context.Context, cfg Config, replicates int, onRep func(idx, re
 	})
 }
 
-// RunReplicated executes the grid `replicates` times with independent
-// seeds and aggregates per cell. Every (cell, replicate) pair is an
-// independent job on the shared worker pool, so replicates of slow cells
-// overlap instead of running grid-by-grid. The returned slice is ordered
-// ν-major, matching the input grids.
-func RunReplicated(cfg Config, replicates int) ([]AggregateCell, error) {
-	cells, err := RunGrid(context.Background(), cfg, replicates, nil)
-	if err != nil {
-		return nil, err
-	}
-	return cells, nil
-}
-
-// RunReplicatedStream is RunReplicated with progressive delivery: as the
-// last replicate of a cell completes, the cell is aggregated and handed
-// to onCell (when non-nil) while the rest of the grid is still running.
-// onCell runs on the caller's goroutine; cells arrive in completion
-// order, not grid order. The returned slice is still ν-major.
-func RunReplicatedStream(cfg Config, replicates int, onCell func(AggregateCell)) ([]AggregateCell, error) {
-	cells, err := RunGrid(context.Background(), cfg, replicates, onCell)
-	if err != nil {
-		return nil, err
-	}
-	return cells, nil
-}
-
 // RunGrid is the unified sweep pipeline every entry point flows through:
 // it executes the (ν × c) grid `replicates` times on the job queue,
 // aggregates each cell as its last replicate lands (always folding

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"testing"
 
 	"neatbound/internal/adversary"
@@ -13,10 +14,10 @@ func TestRunReplicatedValidation(t *testing.T) {
 		NuValues: []float64{0.2}, CValues: []float64{5},
 		Rounds: 100, Seed: 1, T: 4,
 	}
-	if _, err := RunReplicated(cfg, 0); err == nil {
+	if _, err := RunGrid(context.Background(), cfg, 0, nil); err == nil {
 		t.Error("0 replicates accepted")
 	}
-	if _, err := RunReplicated(Config{}, 3); err == nil {
+	if _, err := RunGrid(context.Background(), Config{}, 3, nil); err == nil {
 		t.Error("invalid base config accepted")
 	}
 }
@@ -28,7 +29,7 @@ func TestRunReplicatedAggregates(t *testing.T) {
 		Rounds: 2000, Seed: 1, T: 4, Workers: 2,
 	}
 	const reps = 5
-	cells, err := RunReplicated(cfg, reps)
+	cells, err := RunGrid(context.Background(), cfg, reps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestRunReplicatedSeedsDiffer(t *testing.T) {
 		NuValues: []float64{0.25}, CValues: []float64{2},
 		Rounds: 5000, Seed: 3, T: 4, Workers: 2,
 	}
-	cells, err := RunReplicated(cfg, 6)
+	cells, err := RunGrid(context.Background(), cfg, 6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestRunReplicatedInfeasibleCell(t *testing.T) {
 		NuValues: []float64{0.3}, CValues: []float64{0.01},
 		Rounds: 10, Seed: 1,
 	}
-	cells, err := RunReplicated(cfg, 2)
+	cells, err := RunGrid(context.Background(), cfg, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestReplicatedViolationRateSeparation(t *testing.T) {
 				return &adversary.PrivateMining{MinForkDepth: 4}
 			},
 		}
-		cells, err := RunReplicated(cfg, 4)
+		cells, err := RunGrid(context.Background(), cfg, 4, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

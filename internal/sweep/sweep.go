@@ -239,30 +239,6 @@ func runJobs(ctx context.Context, cfg Config, replicates int, collect func(idx, 
 	return ctx.Err()
 }
 
-// Run executes the grid once. Cells whose parameterization is infeasible
-// (p outside (0,1)) are returned with Err set rather than failing the
-// sweep. The returned slice is ordered ν-major, matching the input grids.
-func Run(cfg Config) ([]Cell, error) {
-	cells, err := RunCells(context.Background(), cfg)
-	if err != nil {
-		return nil, err
-	}
-	return cells, nil
-}
-
-// RunCells is Run with context cancellation: a cancelled grid returns
-// the cells finished so far (unstarted cells are zero-valued) together
-// with ctx.Err().
-func RunCells(ctx context.Context, cfg Config) ([]Cell, error) {
-	cells := make([]Cell, len(cfg.NuValues)*len(cfg.CValues))
-	if err := runJobs(ctx, cfg, 1, func(idx, _ int, cell Cell) {
-		cells[idx] = cell
-	}); err != nil {
-		return cells, err
-	}
-	return cells, nil
-}
-
 // runCell executes one grid point.
 func runCell(ctx context.Context, cfg Config, nu, c float64, seed uint64, sampleEvery int) Cell {
 	cell := Cell{Nu: nu, C: c}
@@ -295,20 +271,9 @@ func runCell(ctx context.Context, cfg Config, nu, c float64, seed uint64, sample
 		CompactEvery:     cfg.CompactEvery,
 		CompactMinRetire: cfg.CompactMinRetire,
 	}
-	if cfg.Scenario != nil {
-		compiled, err := cfg.Scenario.Compile(pr)
-		if err != nil {
-			cell.Err = err
-			return cell
-		}
-		if compiled.Policy != nil {
-			if ecfg.Adversary == nil {
-				ecfg.Adversary = engine.PassiveAdversary{}
-			}
-			ecfg.Adversary = scenario.Wrap(ecfg.Adversary, compiled.Policy)
-		}
-		ecfg.Churn = compiled.Churn
-		ecfg.MiningWeights = compiled.Weights
+	if err := cfg.Scenario.Install(&ecfg); err != nil {
+		cell.Err = err
+		return cell
 	}
 	e, err := engine.New(ecfg)
 	if err != nil {

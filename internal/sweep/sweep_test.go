@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -8,14 +9,25 @@ import (
 	"neatbound/internal/engine"
 )
 
+// runCells executes the grid once and returns its raw ν-major cells —
+// the per-run Cell fields (ledger, predictions, main-chain share) that
+// RunGrid folds into aggregates. Cells left unfinished stay zero-valued.
+func runCells(cfg Config) ([]Cell, error) {
+	cells := make([]Cell, len(cfg.NuValues)*len(cfg.CValues))
+	err := runJobs(context.Background(), cfg, 1, func(idx, _ int, cell Cell) {
+		cells[idx] = cell
+	})
+	return cells, err
+}
+
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(Config{N: 20, Delta: 2, NuValues: []float64{0.2}, CValues: []float64{2}}); err == nil {
+	if _, err := runCells(Config{N: 20, Delta: 2, NuValues: []float64{0.2}, CValues: []float64{2}}); err == nil {
 		t.Error("rounds=0 accepted")
 	}
-	if _, err := Run(Config{N: 20, Delta: 2, Rounds: 10, CValues: []float64{2}}); err == nil {
+	if _, err := runCells(Config{N: 20, Delta: 2, Rounds: 10, CValues: []float64{2}}); err == nil {
 		t.Error("empty ν grid accepted")
 	}
-	if _, err := Run(Config{N: 20, Delta: 2, Rounds: 10, NuValues: []float64{0.2}}); err == nil {
+	if _, err := runCells(Config{N: 20, Delta: 2, Rounds: 10, NuValues: []float64{0.2}}); err == nil {
 		t.Error("empty c grid accepted")
 	}
 }
@@ -27,7 +39,7 @@ func TestRunGridShapeAndOrder(t *testing.T) {
 		CValues:  []float64{2, 5, 10},
 		Rounds:   200, Seed: 1, T: 4, Workers: 3,
 	}
-	cells, err := Run(cfg)
+	cells, err := runCells(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +68,7 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) []Cell {
 		cfg := base
 		cfg.Workers = workers
-		cells, err := Run(cfg)
+		cells, err := runCells(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +92,7 @@ func TestRunInfeasibleCellReportsError(t *testing.T) {
 		CValues:  []float64{0.01},
 		Rounds:   10, Seed: 1,
 	}
-	cells, err := Run(cfg)
+	cells, err := runCells(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +108,7 @@ func TestLedgerTracksPredictions(t *testing.T) {
 		CValues:  []float64{3},
 		Rounds:   150000, Seed: 3, T: 8, Workers: 2,
 	}
-	cells, err := Run(cfg)
+	cells, err := runCells(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +150,7 @@ func TestSweepShapeAcrossBound(t *testing.T) {
 		Rounds:   30000, Seed: 11, T: 3, Workers: 2,
 		NewAdversary: newAdv,
 	}
-	cells, err := Run(below)
+	cells, err := runCells(below)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +172,7 @@ func TestSweepShapeAcrossBound(t *testing.T) {
 		Rounds:   30000, Seed: 12, T: 8, Workers: 1,
 		NewAdversary: newAdv,
 	}
-	cells, err = Run(above)
+	cells, err = runCells(above)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +194,7 @@ func TestMainChainShareComputed(t *testing.T) {
 		CValues:  []float64{20},
 		Rounds:   20000, Seed: 5, T: 5,
 	}
-	cells, err := Run(cfg)
+	cells, err := runCells(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +214,7 @@ func BenchmarkSweepCell(b *testing.B) {
 		Rounds:   2000, Seed: 1, T: 5, Workers: 1,
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(cfg); err != nil {
+		if _, err := runCells(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

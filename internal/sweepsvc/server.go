@@ -2,9 +2,15 @@ package sweepsvc
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 )
+
+// maxSubmitBytes bounds a submission body. A JobRequest describes a grid
+// in a few hundred bytes; 1 MiB leaves room for long ν and c lists while
+// keeping a client from streaming an unbounded body into the decoder.
+const maxSubmitBytes = 1 << 20
 
 // Handler returns the service's HTTP API — the surface cmd/sweepd
 // serves and docs/sweepd.md specifies:
@@ -18,7 +24,7 @@ import (
 //
 // Errors are JSON objects {"error": "..."} with conventional status
 // codes (400 invalid submission, 404 unknown job, 409 result not
-// ready).
+// ready, 413 submission body over 1 MiB).
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", s.handleSubmit)
@@ -46,10 +52,15 @@ func writeError(w http.ResponseWriter, code int, err error) {
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("sweepsvc: decode request: %w", err))
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, fmt.Errorf("sweepsvc: decode request: %w", err))
 		return
 	}
 	st, err := s.Submit(req)

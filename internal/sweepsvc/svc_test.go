@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -375,6 +377,18 @@ func TestSubmitValidates(t *testing.T) {
 	dup.CValues = []float64{1, 1}
 	if _, err := svc.Submit(dup); err == nil {
 		t.Error("duplicate grid cells accepted")
+	}
+}
+
+// TestSubmitRejectsOversizedBody pins the submission size bound: a body
+// past 1 MiB is refused with 413 instead of being decoded in full.
+func TestSubmitRejectsOversizedBody(t *testing.T) {
+	svc, _ := newService(t, sweepsvc.Options{})
+	body := `{"adversary":"` + strings.Repeat("a", 2<<20) + `"}`
+	rec := httptest.NewRecorder()
+	svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader(body)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized submission: status %d, want 413 (%s)", rec.Code, rec.Body)
 	}
 }
 

@@ -16,12 +16,10 @@ import (
 	"neatbound/internal/sweep"
 )
 
-// This file is the v2 execution API: one context-aware Runner
-// (Run) and one option-driven sweep pipeline (RunSweep) that the
-// consistency checker, metric recorders, trace writers, and user hooks
-// all plug into as composable observers. The legacy entry points
-// (Simulate, Sweep, SweepReplicated, SweepReplicatedStream) are thin
-// shims over this path.
+// This file is the execution API: one context-aware Runner (Run) and
+// one option-driven sweep pipeline (RunSweep) that the consistency
+// checker, metric recorders, trace writers, and user hooks all plug
+// into as composable observers.
 
 // EngineVersion is the engine-semantics version (sweep.EngineVersion):
 // it changes only when a code change alters simulation results for some
@@ -206,10 +204,10 @@ func WithAdversaryName(name string, opts AdversaryOpts) Option {
 		apply: func(o *runOptions) { o.advName, o.advOpts, o.advNameSet = name, opts, true }}
 }
 
-// WithShards sets the engine's delivery-phase parallelism (see
-// engine sharding in SimulationConfig.Shards): 0 or 1 serial, P > 1
-// sharded, AutoShards picks from GOMAXPROCS and the player count. Any
-// value is bit-identical.
+// WithShards sets the engine's delivery-phase parallelism
+// (engine.Config.Shards): 0 or 1 serial, P > 1 sharded, AutoShards
+// picks from GOMAXPROCS and the player count. Any value is
+// bit-identical.
 func WithShards(shards int) Option {
 	return Option{name: "WithShards", scope: scopeRun | scopeSweep | scopeDist | scopeSvc,
 		apply: func(o *runOptions) { o.shards = shards }}
@@ -363,10 +361,41 @@ func WithCellObserver(fn func(AggregateCell)) Option {
 		apply: func(o *runOptions) { o.onCell = fn }}
 }
 
-// RunReport is Run's outcome: the full SimulationReport plus the
-// partial-run flags a cancellable execution needs.
+// RunReport is Run's outcome: the consistency report of the executed
+// rounds plus the partial-run flags a cancellable execution needs.
 type RunReport struct {
-	SimulationReport
+	// Violations counts Definition-1 breaches at chop T.
+	Violations int
+	// ViolationList holds the individual breaches (round pairs, tips,
+	// fork depths).
+	ViolationList []Violation
+	// MaxForkDepth is the deepest observed divergence.
+	MaxForkDepth int
+	// Ledger is the Lemma-1 accounting.
+	Ledger Accounting
+	// PredictedConvergence is T·ᾱ^{2Δ}α₁ (Eq. 26).
+	PredictedConvergence float64
+	// PredictedAdversary is T·pνn (Eq. 27).
+	PredictedAdversary float64
+	// HonestBlocks and AdversaryBlocks count mined blocks.
+	HonestBlocks, AdversaryBlocks int
+	// ChainGrowthRate is blocks of honest-chain height per round.
+	ChainGrowthRate float64
+	// ChainQuality is the honest fraction of the final main chain, scored
+	// on the chain ending at Tree.Best(). Tie-break caveat: Best keeps
+	// the first block to reach the maximal height (the pre-arena Tips
+	// scan took the largest ID), so when the run ends mid-race between
+	// equally tall tips, quality is scored on one of the tied — equally
+	// tall — chains, and which one differs from the historical map-based
+	// scorer.
+	ChainQuality float64
+	// MainChainShare is the fraction of mined blocks on the main chain.
+	MainChainShare float64
+	// TotalBlocks counts every block ever added to the tree (genesis
+	// excluded); LiveBlocks counts the blocks still resident in the
+	// arena at the end of the run — equal to TotalBlocks+1 unless arena
+	// compaction (WithCompaction) retired history.
+	TotalBlocks, LiveBlocks int
 	// Partial is set when ctx was cancelled mid-run; every report field
 	// then covers only the rounds actually executed.
 	Partial bool
@@ -376,8 +405,7 @@ type RunReport struct {
 }
 
 // Run executes the protocol under pr with the given options and returns
-// the full consistency report — the v2 replacement for Simulate. The
-// consistency checker, the Lemma-1 ledger recorder, any trace writer or
+// the full consistency report. The consistency checker, the Lemma-1 ledger recorder, any trace writer or
 // progress hook, and the observers of WithObserver all run side by side
 // in one pass over the round stream.
 //
@@ -401,14 +429,7 @@ func Run(ctx context.Context, pr Params, opts ...Option) (*RunReport, error) {
 			return nil, err
 		}
 	}
-	sampleEvery := o.sampleEvery
-	if sampleEvery <= 0 {
-		sampleEvery = o.rounds / 50
-		if sampleEvery < 1 {
-			sampleEvery = 1
-		}
-	}
-	checker, err := consistency.NewChecker(o.tee, sampleEvery)
+	checker, err := consistency.NewChecker(o.tee, sweep.ResolveSampleEvery(o.sampleEvery, o.rounds))
 	if err != nil {
 		return nil, err
 	}
@@ -450,19 +471,8 @@ func Run(ctx context.Context, pr Params, opts ...Option) (*RunReport, error) {
 		CompactEvery:     o.compactEvery,
 		CompactMinRetire: o.compactMin,
 	}
-	if o.scenarioSpec != nil {
-		compiled, err := o.scenarioSpec.Compile(pr)
-		if err != nil {
-			return nil, fmt.Errorf("neatbound: %w", err)
-		}
-		if compiled.Policy != nil {
-			if ecfg.Adversary == nil {
-				ecfg.Adversary = engine.PassiveAdversary{}
-			}
-			ecfg.Adversary = scenario.Wrap(ecfg.Adversary, compiled.Policy)
-		}
-		ecfg.Churn = compiled.Churn
-		ecfg.MiningWeights = compiled.Weights
+	if err := o.scenarioSpec.Install(&ecfg); err != nil {
+		return nil, fmt.Errorf("neatbound: %w", err)
 	}
 	e, err := engine.New(ecfg)
 	if err != nil {
@@ -480,8 +490,7 @@ func Run(ctx context.Context, pr Params, opts ...Option) (*RunReport, error) {
 }
 
 // assembleReport builds the RunReport from an executed (possibly
-// partial) result — field for field what the legacy Simulate computed,
-// so Run reproduces its reports bit-identically. Every field, the
+// partial) result. Every field, the
 // Eq. 26/27 predictions included, covers the rounds actually executed
 // (identical to the configured total on a complete run).
 func assembleReport(pr Params, res *engine.Result, checker *consistency.Checker, ledger *consistency.LedgerRecorder) (*RunReport, error) {
@@ -500,23 +509,21 @@ func assembleReport(pr Params, res *engine.Result, checker *consistency.Checker,
 	}
 	rounds := len(res.Records)
 	return &RunReport{
-		SimulationReport: SimulationReport{
-			Violations:           len(viols),
-			ViolationList:        viols,
-			MaxForkDepth:         maxDepth,
-			Ledger:               ledger.Accounting(),
-			PredictedConvergence: float64(rounds) * pr.ConvergenceOpportunityRate(),
-			PredictedAdversary:   float64(rounds) * pr.AdversaryBlockRate(),
-			HonestBlocks:         res.HonestBlocks,
-			AdversaryBlocks:      res.AdversaryBlocks,
-			ChainGrowthRate:      metrics.ChainGrowthRate(res.Records),
-			ChainQuality:         quality,
-			MainChainShare:       metrics.MainChainShare(tree),
-			TotalBlocks:          tree.Len() - 1,
-			LiveBlocks:           tree.LiveBlocks(),
-		},
-		Partial:        res.Partial,
-		RoundsExecuted: len(res.Records),
+		Violations:           len(viols),
+		ViolationList:        viols,
+		MaxForkDepth:         maxDepth,
+		Ledger:               ledger.Accounting(),
+		PredictedConvergence: float64(rounds) * pr.ConvergenceOpportunityRate(),
+		PredictedAdversary:   float64(rounds) * pr.AdversaryBlockRate(),
+		HonestBlocks:         res.HonestBlocks,
+		AdversaryBlocks:      res.AdversaryBlocks,
+		ChainGrowthRate:      metrics.ChainGrowthRate(res.Records),
+		ChainQuality:         quality,
+		MainChainShare:       metrics.MainChainShare(tree),
+		TotalBlocks:          tree.Len() - 1,
+		LiveBlocks:           tree.LiveBlocks(),
+		Partial:              res.Partial,
+		RoundsExecuted:       len(res.Records),
 	}, nil
 }
 
@@ -533,8 +540,7 @@ type SweepGrid struct {
 
 // RunSweep executes a (ν × c) grid on the job-queue pipeline and
 // aggregates each cell over its replicates — the one option-driven
-// entry point replacing Sweep, SweepReplicated and
-// SweepReplicatedStream. Attach WithCellObserver to stream finished
+// grid entry point. Attach WithCellObserver to stream finished
 // cells while the grid is still running; the streamed lines marshal via
 // MarshalCells into the cross-process interchange that MergeCellStreams
 // reassembles.

@@ -11,13 +11,26 @@ import (
 	"neatbound/internal/consistency"
 	"neatbound/internal/engine"
 	"neatbound/internal/metrics"
+	"neatbound/internal/sweep"
 )
 
+// legacyConfig is the parameter set legacySimulate takes: one execution
+// plus its consistency check.
+type legacyConfig struct {
+	Params      Params
+	Rounds      int
+	Seed        uint64
+	Adversary   Adversary
+	T           int
+	SampleEvery int
+	Shards      int
+}
+
 // legacySimulate re-implements the pre-Runner Simulate data path — the
-// single OnRound checker hook plus post-run record replays — so the
-// parity tests compare Run's streaming observer stack against the
-// historical assembly, not against itself.
-func legacySimulate(t *testing.T, cfg SimulationConfig) SimulationReport {
+// checker as the engine's only observer plus post-run record replays —
+// so the parity tests compare Run's streaming observer stack against
+// the historical assembly, not against itself.
+func legacySimulate(t *testing.T, cfg legacyConfig) RunReport {
 	t.Helper()
 	sampleEvery := cfg.SampleEvery
 	if sampleEvery <= 0 {
@@ -35,7 +48,7 @@ func legacySimulate(t *testing.T, cfg SimulationConfig) SimulationReport {
 		Rounds:    cfg.Rounds,
 		Seed:      cfg.Seed,
 		Adversary: cfg.Adversary,
-		OnRound:   checker.OnRound,
+		Observer:  checker,
 		Shards:    cfg.Shards,
 	})
 	if err != nil {
@@ -61,7 +74,7 @@ func legacySimulate(t *testing.T, cfg SimulationConfig) SimulationReport {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return SimulationReport{
+	return RunReport{
 		Violations:           len(viols),
 		ViolationList:        viols,
 		MaxForkDepth:         maxDepth,
@@ -75,16 +88,17 @@ func legacySimulate(t *testing.T, cfg SimulationConfig) SimulationReport {
 		MainChainShare:       metrics.MainChainShare(res.Tree),
 		TotalBlocks:          res.Tree.Len() - 1,
 		LiveBlocks:           res.Tree.LiveBlocks(),
+		RoundsExecuted:       len(res.Records),
 	}
 }
 
 // runnerParityCases spans every adversary class on the golden-seed
 // parameterizations (the oracle and adaptive-ν golden cases are
 // engine-level features pinned by TestGoldenTracesObserver).
-func runnerParityCases() []SimulationConfig {
+func runnerParityCases() []legacyConfig {
 	base := Params{N: 40, P: 0.005, Delta: 4, Nu: 0.3}
 	deep := Params{N: 40, P: 0.005, Delta: 8, Nu: 0.45}
-	return []SimulationConfig{
+	return []legacyConfig{
 		{Params: base, Rounds: 3000, Seed: 1, T: 6},
 		{Params: base, Rounds: 3000, Seed: 2, T: 6, Adversary: NewMaxDelayAdversary()},
 		{Params: deep, Rounds: 3000, Seed: 3, T: 3, Adversary: NewPrivateMiningAdversary(3)},
@@ -117,9 +131,9 @@ func TestRunMatchesLegacySimulate(t *testing.T) {
 			if rep.Partial || rep.RoundsExecuted != cfg.Rounds {
 				t.Errorf("case %d shards %d: partial=%v executed=%d", i, shards, rep.Partial, rep.RoundsExecuted)
 			}
-			if !reflect.DeepEqual(rep.SimulationReport, want) {
+			if !reflect.DeepEqual(*rep, want) {
 				t.Errorf("case %d shards %d: Run report diverged from legacy Simulate\n got %+v\nwant %+v",
-					i, shards, rep.SimulationReport, want)
+					i, shards, *rep, want)
 			}
 		}
 	}
@@ -269,7 +283,7 @@ func TestWithAdversaryName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(byName.SimulationReport, byValue.SimulationReport) {
+	if !reflect.DeepEqual(*byName, *byValue) {
 		t.Error("WithAdversaryName(max-delay) diverged from WithAdversary(NewMaxDelayAdversary())")
 	}
 	if _, err := Run(context.Background(), pr, WithRounds(10),
@@ -284,7 +298,7 @@ func TestWithAdversaryName(t *testing.T) {
 }
 
 func TestRunSweepMatchesLegacyReplicatedStream(t *testing.T) {
-	cfg := SweepConfig{
+	cfg := sweep.Config{
 		N: 20, Delta: 2,
 		NuValues: []float64{0.2, 0.3},
 		CValues:  []float64{2, 8},
@@ -292,7 +306,7 @@ func TestRunSweepMatchesLegacyReplicatedStream(t *testing.T) {
 		NewAdversary: func() Adversary { return NewPrivateMiningAdversary(3) },
 	}
 	var streamed []AggregateCell
-	want, err := SweepReplicatedStream(cfg, 3, func(c AggregateCell) { streamed = append(streamed, c) })
+	want, err := sweep.RunGrid(context.Background(), cfg, 3, func(c AggregateCell) { streamed = append(streamed, c) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,10 +324,10 @@ func TestRunSweepMatchesLegacyReplicatedStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(cells, want) {
-		t.Errorf("RunSweep cells diverged from SweepReplicatedStream\n got %+v\nwant %+v", cells, want)
+		t.Errorf("RunSweep cells diverged from sweep.RunGrid\n got %+v\nwant %+v", cells, want)
 	}
 	if len(got) != len(streamed) || len(got) != len(cells) {
-		t.Errorf("streamed %d cells via observer, legacy streamed %d, grid has %d", len(got), len(streamed), len(cells))
+		t.Errorf("streamed %d cells via observer, RunGrid streamed %d, grid has %d", len(got), len(streamed), len(cells))
 	}
 }
 
@@ -425,7 +439,7 @@ func TestRunAutoShardsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(serial.SimulationReport, auto.SimulationReport) {
+	if !reflect.DeepEqual(*serial, *auto) {
 		t.Error("WithAutoShards diverged from the serial run")
 	}
 }
